@@ -7,16 +7,22 @@
 //! timed), then drains the daemon to collect its lifecycle counters.
 //! Results go to `BENCH_serve.json` at the repo root — events/sec, p50
 //! and p99 ack latency, and the resident-session high-water mark per
-//! row — so serve-path regressions show up run over run.
+//! row — so serve-path regressions show up run over run. Beside the
+//! rows it records what a session open and an eviction revive cost
+//! in-process (`open_us`: mean `SessionTable::open`; `restore_us`: mean
+//! `Secpert::restore` of a grown engine's snapshot) and
+//! `eviction_slowdown_32`, `resident_32` events/sec over `evicting_32`
+//! events/sec.
 //!
 //! Run with `cargo bench -p hth-bench --bench serve`; `--test` runs one
 //! tiny configuration as a smoke check and writes nothing.
 
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use hth_bench::json::Json;
 use hth_core::Secpert;
-use hth_serve::{run_load, ServeConfig, Server, TableConfig};
+use hth_serve::{run_load, ServeConfig, Server, SessionTable, TableConfig};
 
 /// One bench row: a daemon with this budget, driven at this load.
 struct Config {
@@ -44,15 +50,40 @@ impl Measurement {
     }
 }
 
-/// Sizes an eviction-forcing budget from a *grown* engine: a fresh
-/// engine's accounted bytes are dominated by working-memory and token
-/// state that only exists once events have flowed.
-fn grown_engine_bytes(events: usize) -> usize {
+/// An expert that has processed `events` synthetic events. Eviction
+/// budgets are sized from one: a fresh engine's accounted bytes are
+/// dominated by working-memory and token state that only exists once
+/// events have flowed.
+fn grown_engine(events: usize) -> Secpert {
     let mut probe = Secpert::new(&TableConfig::default().policy).expect("policy loads");
     for event in hth_serve::synthetic_events(0, events) {
         probe.process_event(&event).expect("probe event");
     }
-    probe.approx_bytes()
+    probe
+}
+
+/// Mean `SessionTable::open` over `opens` new sessions of one table, us.
+fn open_us(opens: u64) -> f64 {
+    let table = SessionTable::new(TableConfig::default());
+    table.open(0).expect("warm-up open");
+    let started = Instant::now();
+    for sid in 1..=opens {
+        table.open(sid).expect("open");
+    }
+    started.elapsed().as_secs_f64() * 1e6 / opens as f64
+}
+
+/// Mean `Secpert::restore` of the snapshot of an engine grown by
+/// `events` events, over `restores` restores, us.
+fn restore_us(events: usize, restores: u32) -> f64 {
+    let policy = TableConfig::default().policy;
+    let snapshot = grown_engine(events).snapshot().expect("quiescent engine");
+    Secpert::restore(&policy, &snapshot).expect("warm-up restore");
+    let started = Instant::now();
+    for _ in 0..restores {
+        black_box(Secpert::restore(&policy, &snapshot).expect("restore"));
+    }
+    started.elapsed().as_secs_f64() * 1e6 / f64::from(restores)
 }
 
 /// Binds a daemon, runs the load engine against it, drains it, and
@@ -103,6 +134,7 @@ fn main() {
         });
         assert_eq!(m.events, 20);
         assert!(m.resident_high_water >= 2);
+        assert!(open_us(4) > 0.0 && restore_us(8, 4) > 0.0);
         println!("test serve_throughput ... ok");
         return;
     }
@@ -112,7 +144,7 @@ fn main() {
     // A budget worth ~4 grown engines forces the 32-session row to
     // churn: most submits hit an evicted session and pay the
     // snapshot-restore revive on the serve path.
-    let churn_budget = grown_engine_bytes(64) * 4;
+    let churn_budget = grown_engine(64).approx_bytes() * 4;
     let configs = [
         Config {
             label: "resident_8",
@@ -152,11 +184,23 @@ fn main() {
         );
         rows.push(m);
     }
+    let open_us = open_us(256);
+    let restore_us = restore_us(64, 256);
+    let rate =
+        |label: &str| rows.iter().find(|m| m.label == label).map(Measurement::events_per_sec);
+    let slowdown = rate("resident_32").expect("resident row") / rate("evicting_32").expect("row");
+    println!(
+        "serve_throughput: open {open_us:.1}us, restore {restore_us:.1}us, \
+         resident_32/evicting_32 events/sec {slowdown:.2}x"
+    );
 
     let json = Json::Obj(vec![
         ("bench".into(), Json::Str("serve_throughput".into())),
         ("cpus".into(), Json::Num(cpus as f64)),
         ("churn_budget_bytes".into(), Json::Num(churn_budget as f64)),
+        ("open_us".into(), Json::Num(open_us)),
+        ("restore_us".into(), Json::Num(restore_us)),
+        ("eviction_slowdown_32".into(), Json::Num(slowdown)),
         (
             "rows".into(),
             Json::Arr(

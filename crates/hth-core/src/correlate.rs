@@ -14,7 +14,8 @@
 //! **Determinism.** [`Correlator::correlate`] is a pure function of the
 //! ingested digest *multiset*: digests live in a session-keyed B-tree,
 //! every set inside a digest is itself ordered, aggregates are grouped
-//! in key order, and each call builds a fresh engine. Shard count,
+//! in key order, and each call starts a fresh engine from the policy
+//! compiled once per process for its configuration. Shard count,
 //! batch size, arrival order and transport (live, serve, journal) can
 //! therefore not change a byte of the output — the invariant
 //! `tests/correlate_equivalence.rs` pins.
@@ -25,18 +26,20 @@
 //! contributed.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use secpert_engine::{Engine, EngineError, FactId, Value, CORRELATE_RULES, DIGEST_TEMPLATES};
+use secpert_engine::{Engine, EngineError, FactId, Value};
 
+use crate::compiled::CompiledPolicy;
 use crate::digest::SessionDigest;
 use crate::provenance::{FactSupport, Provenance};
-use crate::secpert::{register_severity_text, register_warn};
+use crate::secpert::WarningSink;
 use crate::warning::{Severity, Warning};
 
 /// Thresholds for the correlator rule family (the CLIPS globals in
-/// [`CORRELATE_RULES`], overridden after load).
-#[derive(Clone, Debug)]
+/// [`CORRELATE_RULES`](secpert_engine::CORRELATE_RULES), overridden
+/// after load).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorrelateConfig {
     /// Distinct program labels beaconing one endpoint at/above this
     /// fire `shared_c2` (High).
@@ -185,8 +188,9 @@ impl Correlator {
     }
 
     /// Runs the correlator policy over everything ingested. Pure in the
-    /// digest multiset: a fresh engine is built per call, so calling
-    /// twice yields identical reports.
+    /// digest multiset: each call starts a fresh engine from the
+    /// policy's shared compile, so calling twice yields identical
+    /// reports.
     ///
     /// # Errors
     ///
@@ -194,22 +198,8 @@ impl Correlator {
     /// tests) or from `extra_rules`.
     pub fn correlate(&self) -> Result<CorrelationReport, EngineError> {
         let _span = hth_trace::span("correlator.correlate");
-        let mut engine = Engine::new();
-        let warnings: Arc<Mutex<Vec<Arc<Warning>>>> = Arc::new(Mutex::new(Vec::new()));
-        register_warn(&mut engine, warnings.clone());
-        register_severity_text(&mut engine);
-        engine.set_support_capture(true);
-        engine.load_str(DIGEST_TEMPLATES)?;
-        engine.load_str(CORRELATE_RULES)?;
-        for rules in &self.config.extra_rules {
-            engine.load_str(rules)?;
-        }
-        engine.set_global("MIN_C2_LABELS", self.config.min_c2_labels);
-        engine.set_global("MIN_DROP_SESSIONS", self.config.min_drop_sessions);
-        engine.set_global("MIN_EXFIL_SESSIONS", self.config.min_exfil_sessions);
-        engine.set_global("EXFIL_FLEET_BYTES", self.config.exfil_fleet_bytes);
-        engine.set_global("EXFIL_SESSION_BYTES", self.config.exfil_session_bytes);
-        engine.reset()?;
+        let warnings = WarningSink::default();
+        let mut engine = CompiledPolicy::fleet(&self.config)?.instantiate(&warnings);
 
         // Leaf facts (session order, set order within a session) and
         // the aggregates they roll up into (key order). Both orders are
@@ -338,7 +328,7 @@ impl Correlator {
     fn attach_provenance(
         &self,
         engine: &Engine,
-        warnings: &Arc<Mutex<Vec<Arc<Warning>>>>,
+        warnings: &WarningSink,
         roots: &HashMap<u64, &Agg>,
     ) {
         let firings = engine.firings();
@@ -534,6 +524,56 @@ mod tests {
             merged.ingest(d);
         }
         assert_eq!(split.correlate().unwrap(), merged.correlate().unwrap());
+    }
+
+    fn verdict(config: CorrelateConfig) -> Result<BTreeMap<(Severity, String), u64>, EngineError> {
+        let mut correlator = Correlator::new(config);
+        for d in coordinated() {
+            correlator.ingest(d);
+        }
+        Ok(correlator.correlate()?.warning_counts())
+    }
+
+    #[test]
+    fn every_correlate_field_is_part_of_the_key() {
+        let base = CorrelateConfig::default();
+        // Naming every field makes a new one fail to compile here until
+        // it gets a case below.
+        let CorrelateConfig {
+            min_c2_labels: _,
+            min_drop_sessions: _,
+            min_exfil_sessions: _,
+            exfil_fleet_bytes: _,
+            exfil_session_bytes: _,
+            extra_rules: _,
+        } = &base;
+        let want = verdict(base.clone()).unwrap();
+        assert_eq!(want.len(), 3, "the coordinated fleet fires all three rules");
+        let census = r#"
+            (defrule census (session_digest (session ?s))
+              => (warn 1 census ?s 0 "seen"))"#;
+        let cases = [
+            ("min_c2_labels", CorrelateConfig { min_c2_labels: 4, ..base.clone() }),
+            ("min_drop_sessions", CorrelateConfig { min_drop_sessions: 4, ..base.clone() }),
+            ("min_exfil_sessions", CorrelateConfig { min_exfil_sessions: 4, ..base.clone() }),
+            ("exfil_fleet_bytes", CorrelateConfig { exfil_fleet_bytes: 3000, ..base.clone() }),
+            ("exfil_session_bytes", CorrelateConfig { exfil_session_bytes: 700, ..base.clone() }),
+            ("extra_rules", CorrelateConfig { extra_rules: vec![census.into()], ..base.clone() }),
+        ];
+        for (field, changed) in cases {
+            assert_ne!(verdict(changed).unwrap(), want, "{field}: the outcome did not move");
+            assert_eq!(verdict(base.clone()).unwrap(), want, "{field}: the base moved");
+        }
+    }
+
+    #[test]
+    fn malformed_correlate_rules_fail_every_call_and_spare_the_default() {
+        let broken = CorrelateConfig { extra_rules: vec!["(defrule".into()], ..Default::default() };
+        let want = verdict(CorrelateConfig::default()).unwrap();
+        for _ in 0..3 {
+            assert!(verdict(broken.clone()).is_err());
+        }
+        assert_eq!(verdict(CorrelateConfig::default()).unwrap(), want);
     }
 
     #[test]

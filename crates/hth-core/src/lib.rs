@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+mod compiled;
 mod correlate;
 mod cross_session;
 mod digest;

@@ -18,7 +18,7 @@
 //! §8.3.1: `system()`'s `/bin/sh` string lives in trusted libc).
 
 /// Tunable thresholds and trust lists for the policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// Frequency strictly below this counts as "rarely executed".
     pub rare_frequency: i64,

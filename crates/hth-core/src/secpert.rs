@@ -9,7 +9,8 @@ use harrier::{Origin, SecpertEvent, SourceInfo};
 use secpert_engine::snapshot::{self, ByteReader, EngineSnapshot, SnapshotError};
 use secpert_engine::{AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
 
-use crate::policy::{PolicyConfig, POLICY_CLIPS};
+use crate::compiled::CompiledPolicy;
+use crate::policy::PolicyConfig;
 use crate::provenance::{FactSupport, Provenance};
 use crate::warning::{Severity, Warning};
 
@@ -19,6 +20,9 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"HTHS";
 /// server never misreads a new snapshot (and vice versa).
 const SNAPSHOT_VERSION: u8 = 1;
 
+/// Where the `warn` native records warnings.
+pub(crate) type WarningSink = Arc<Mutex<Vec<Arc<Warning>>>>;
+
 /// The security expert system: policy + engine + warning collection.
 ///
 /// Warnings are stored behind `Arc` so readers can snapshot the sink
@@ -27,9 +31,9 @@ const SNAPSHOT_VERSION: u8 = 1;
 /// reader doing per-warning string clones.
 pub struct Secpert {
     engine: Engine,
-    warnings: Arc<Mutex<Vec<Arc<Warning>>>>,
+    warnings: WarningSink,
     events_processed: u64,
-    gate: EventGate,
+    gate: Arc<EventGate>,
     values: ValueCache,
 }
 
@@ -79,7 +83,7 @@ struct TemplateGate {
 /// Snapshot of the rule base at `revision`; rebuilt when
 /// [`Engine::rules_revision`] moves (e.g. [`Secpert::load_policy`]).
 #[derive(Debug)]
-struct EventGate {
+pub(crate) struct EventGate {
     revision: u64,
     filter: AlphaPrefilter,
     access: TemplateGate,
@@ -87,7 +91,7 @@ struct EventGate {
 }
 
 impl EventGate {
-    fn build(engine: &Engine) -> EventGate {
+    pub(crate) fn build(engine: &Engine) -> EventGate {
         let filter = engine.alpha_prefilter();
         let gate_for = |name: &str| -> TemplateGate {
             let (sems, server_default) = match engine.template(name) {
@@ -303,33 +307,31 @@ impl Secpert {
     /// Builds a Secpert with the standard policy and the given
     /// configuration.
     ///
+    /// The policy is compiled once per process for each distinct
+    /// configuration; every expert starts from a copy of that compile
+    /// with its own working memory, match state and warning sink.
+    ///
     /// # Errors
     ///
-    /// Returns engine errors if the embedded policy fails to load (a
-    /// bug, covered by tests) — propagated rather than unwrapped so
-    /// custom policies loaded on top behave the same way.
+    /// Returns engine errors if the policy fails to load: the embedded
+    /// policy (a bug, covered by tests) or malformed `extra_rules`.
+    /// Failed compiles are not remembered, so every call with such a
+    /// configuration fails the same way.
     pub fn new(config: &PolicyConfig) -> Result<Secpert, EngineError> {
-        let mut engine = Engine::new();
-        let warnings: Arc<Mutex<Vec<Arc<Warning>>>> = Arc::new(Mutex::new(Vec::new()));
+        let compiled = CompiledPolicy::expert(config)?;
+        Ok(Secpert::from_compiled(&compiled))
+    }
 
-        register_filters(&mut engine, config);
-        register_warn(&mut engine, warnings.clone());
-        // Provenance: every firing snapshots which other rules' live
-        // matches shared its supporting facts (see attach_provenance).
-        engine.set_support_capture(true);
-        engine.load_str(POLICY_CLIPS)?;
-        for rules in &config.extra_rules {
-            engine.load_str(rules)?;
+    /// An expert starting from `compiled`, with nothing processed yet.
+    pub(crate) fn from_compiled(compiled: &CompiledPolicy) -> Secpert {
+        let warnings = WarningSink::default();
+        Secpert {
+            engine: compiled.instantiate(&warnings),
+            warnings,
+            events_processed: 0,
+            gate: Arc::clone(&compiled.gate),
+            values: ValueCache::default(),
         }
-        engine.set_global("RARE_FREQUENCY", config.rare_frequency);
-        engine.set_global("LONG_TIME", config.long_time);
-        engine.set_global("PROC_COUNT_HIGH", config.proc_count_high);
-        engine.set_global("PROC_RATE_HIGH", config.proc_rate_high);
-        engine.set_global("MEM_HIGH", config.mem_high);
-        engine.set_global("MEM_VERY_HIGH", config.mem_very_high);
-        engine.reset()?;
-        let gate = EventGate::build(&engine);
-        Ok(Secpert { engine, warnings, events_processed: 0, gate, values: ValueCache::default() })
     }
 
     /// Loads additional CLIPS policy text (custom rules on top of the
@@ -392,7 +394,7 @@ impl Secpert {
     fn process_one(&mut self, event: &SecpertEvent) -> Result<(), EngineError> {
         self.events_processed += 1;
         if self.gate.revision != self.engine.rules_revision() {
-            self.gate = EventGate::build(&self.engine);
+            self.gate = Arc::new(EventGate::build(&self.engine));
         }
         // Events whose fact fails every rule's constant discriminators
         // skip fact construction and assertion entirely: such a fact
@@ -760,7 +762,7 @@ fn taint_sources_of(event: &SecpertEvent) -> Vec<String> {
 /// Registers the `filter_*` natives used by the policy: each takes two
 /// parallel multifields (types, names) and returns the names of the
 /// entries with the wanted type, minus trusted ones.
-fn register_filters(engine: &mut Engine, config: &PolicyConfig) {
+pub(crate) fn register_filters(engine: &mut Engine, config: &PolicyConfig) {
     fn filter(
         args: &[Value],
         wanted: &'static str,
@@ -827,7 +829,7 @@ pub(crate) fn register_severity_text(engine: &mut Engine) {
 }
 
 /// Registers the `warn` native: `(warn level rule pid time message)`.
-pub(crate) fn register_warn(engine: &mut Engine, sink: Arc<Mutex<Vec<Arc<Warning>>>>) {
+pub(crate) fn register_warn(engine: &mut Engine, sink: WarningSink) {
     engine.register_fn("warn", move |args| {
         let [level, rule, pid, time, message] = args else {
             return Err(EngineError::Type {

@@ -1,6 +1,7 @@
 //! The scenario framework: every paper benchmark is a [`Scenario`] —
 //! a program (plus environment setup) with an expected classification.
 
+use harrier::SecpertEvent;
 use hth_core::{RunReport, Session, SessionConfig, SessionError, Severity, Warning};
 
 /// Which evaluation table/section a scenario belongs to.
@@ -152,6 +153,25 @@ impl Scenario {
     /// workload faults are part of the result, not errors.
     pub fn run(&self) -> Result<ScenarioResult, SessionError> {
         self.run_with(SessionConfig::default())
+    }
+
+    /// Runs the scenario with inline analysis off and returns the
+    /// Harrier event stream its session emitted, in order: the stream
+    /// an analyst pool or the serve daemon receives for this program.
+    ///
+    /// # Errors
+    ///
+    /// Propagates session errors.
+    pub fn record(&self) -> Result<Vec<SecpertEvent>, SessionError> {
+        let config = SessionConfig { analyze_inline: false, ..SessionConfig::default() };
+        let mut session = Session::new(config)?;
+        let start = (self.setup)(&mut session);
+        let argv: Vec<&str> = start.argv.iter().map(String::as_str).collect();
+        let env: Vec<(&str, &str)> =
+            start.env.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        session.start(start.path, &argv, &env)?;
+        session.run()?;
+        Ok(session.events().to_vec())
     }
 
     /// Runs the scenario under a custom configuration.

@@ -168,6 +168,14 @@ impl Host for MatchHost<'_> {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// A clone copies the facts, match state, agenda and output, and shares
+/// the compiled rule base: templates, rules, compiled match nodes and
+/// natives. A shared native closure keeps whatever state it captured,
+/// so a clone that needs its own (a warning sink, say) re-registers
+/// that native with [`Engine::register_fn`]. Cloning a reset engine is
+/// how many engines start from one compile of a policy.
+#[derive(Clone)]
 pub struct Engine {
     templates: FxHashMap<Arc<str>, Arc<Template>>,
     rules: Vec<Arc<Rule>>,
@@ -1585,6 +1593,51 @@ mod tests {
                     "final snapshot at cut {cut}"
                 );
             }
+        }
+    }
+
+    /// A clone taken at any point continues exactly like the engine it
+    /// was taken from, and what either side changes afterwards (rules,
+    /// natives, globals, facts) stays on that side.
+    #[test]
+    fn a_clone_runs_like_its_original_and_apart_from_it() {
+        let stream =
+            [("open", 1), ("close", 2), ("bad", 3), ("open", 4), ("close", 5), ("open", 6)];
+        for cut in 0..=stream.len() {
+            let mut original = snapshot_policy();
+            original.reset().unwrap();
+            for (kind, n) in &stream[..cut] {
+                original.assert_fact(event(&original, kind, *n)).unwrap();
+                original.run(None).unwrap();
+            }
+            let mut sibling = original.clone();
+            sibling
+                .add_rule(
+                    RuleBuilder::new("sibling-only")
+                        .pattern(PatternCE::new("event"))
+                        .action(Expr::Printout(vec![Expr::lit("S")]))
+                        .build(),
+                )
+                .unwrap();
+            sibling.register_fn("sibling-fn", |_| Ok(Value::truth()));
+            sibling.set_global("SIBLING", 1);
+            sibling.assert_fact(event(&sibling, "open", 99)).unwrap();
+            sibling.run(None).unwrap();
+            let mut copy = original.clone();
+            assert!(original.rule_names().chain(copy.rule_names()).all(|r| r != "sibling-only"));
+            assert!(copy.get_global("SIBLING").is_none());
+            assert!(copy.call("sibling-fn", &[]).is_err(), "sibling's native leaked");
+            for (kind, n) in &stream[cut..] {
+                for e in [&mut original, &mut copy] {
+                    e.assert_fact(event(e, kind, *n)).unwrap();
+                    e.run(None).unwrap();
+                }
+            }
+            assert_eq!(copy.firings(), original.firings(), "firings at cut {cut}");
+            assert_eq!(copy.match_stats(), original.match_stats(), "match stats at cut {cut}");
+            assert_eq!(copy.approx_bytes(), original.approx_bytes(), "bytes at cut {cut}");
+            assert_eq!(copy.snapshot().unwrap(), original.snapshot().unwrap(), "cut {cut}");
+            assert_eq!(copy.take_output(), original.take_output(), "output at cut {cut}");
         }
     }
 

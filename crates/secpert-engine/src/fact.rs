@@ -198,7 +198,7 @@ fn content_key(fact: &Fact) -> u64 {
 /// every assert/retract: a content index for duplicate suppression and a
 /// per-slot value index (the alpha-network discrimination used by the
 /// Rete matcher's constant and join lookups).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkingMemory {
     facts: FxHashMap<FactId, Arc<Fact>>,
     by_template: FxHashMap<Arc<str>, Vec<FactId>>,

@@ -58,7 +58,7 @@ type Tuple = Vec<Option<FactId>>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct TokenId(u64);
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Token {
     prod: usize,
     /// Memory level the token occupies: 0 is the root, `i + 1` means
@@ -76,7 +76,7 @@ struct Token {
 }
 
 /// One beta memory: the tokens at one level of one production.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Memory {
     /// Token identity by tuple; also the duplicate-path guard (a fact
     /// reaching the same tuple via two seed positions lands once).
@@ -88,16 +88,24 @@ struct Memory {
     unindexed: FxHashSet<TokenId>,
 }
 
-struct Production {
+/// The compiled half of a production, fixed once the rule is added:
+/// networks cloned from one another share it instead of copying it.
+#[derive(Debug)]
+struct CompiledProduction {
     rule: Arc<Rule>,
     nodes: Vec<Node>,
-    root: TokenId,
-    /// `lhs.len() + 1` memories; the last holds complete matches.
-    memories: Vec<Memory>,
     /// Single positive pattern at position 0 followed only by `test`
     /// CEs: matches of such a rule touch exactly one fact, so the
     /// network skips the token tree entirely (see [`FastEntry`]).
     fast: bool,
+}
+
+#[derive(Clone)]
+struct Production {
+    compiled: Arc<CompiledProduction>,
+    root: TokenId,
+    /// `lhs.len() + 1` memories; the last holds complete matches.
+    memories: Vec<Memory>,
 }
 
 /// Fast-path match record: one production's live (partial or complete)
@@ -138,8 +146,9 @@ pub(crate) struct UpdateOutcome {
     pub resequences: Vec<(usize, Vec<Emission>)>,
 }
 
-/// The incremental Rete-style match network.
-#[derive(Default)]
+/// The incremental Rete-style match network. A clone shares every
+/// production's compiled half and copies the match state.
+#[derive(Clone, Default)]
 pub(crate) struct ReteNetwork {
     prods: Vec<Production>,
     tokens: FxHashMap<TokenId, Token>,
@@ -254,11 +263,9 @@ impl ReteNetwork {
         let fast = matches!(rule.lhs().first(), Some(CondElem::Pattern(_)))
             && rule.lhs()[1..].iter().all(|ce| matches!(ce, CondElem::Test(_)));
         self.prods.push(Production {
-            rule,
-            nodes,
+            compiled: Arc::new(CompiledProduction { rule, nodes, fast }),
             root: TokenId(0),
             memories: (0..levels).map(|_| Memory::default()).collect(),
-            fast,
         });
         if fast {
             return self.fast_join_wm(prod, wm, host);
@@ -279,9 +286,9 @@ impl ReteNetwork {
         wm: &WorkingMemory,
         host: &mut dyn Host,
     ) -> Result<Vec<Emission>> {
-        let rule = self.prods[pi].rule.clone();
-        let CondElem::Pattern(p) = &rule.lhs()[0] else { unreachable!("fast production") };
-        let ids: Vec<FactId> = if let Some((slot, value)) = self.prods[pi].nodes[0].consts.first() {
+        let compiled = Arc::clone(&self.prods[pi].compiled);
+        let CondElem::Pattern(p) = &compiled.rule.lhs()[0] else { unreachable!("fast production") };
+        let ids: Vec<FactId> = if let Some((slot, value)) = compiled.nodes[0].consts.first() {
             let (slot, value) = (*slot, value.clone());
             self.stats.index_lookups += 1;
             match wm.ids_with(&p.template, slot, &value) {
@@ -320,7 +327,7 @@ impl ReteNetwork {
         fact: &Fact,
         host: &mut dyn Host,
     ) -> Result<Option<Emission>> {
-        let rule = self.prods[pi].rule.clone();
+        let rule = self.prods[pi].compiled.rule.clone();
         let CondElem::Pattern(p) = &rule.lhs()[0] else { unreachable!("fast production") };
         self.stats.join_attempts += 1;
         let mut bindings = std::mem::take(&mut self.fast_scratch);
@@ -329,7 +336,7 @@ impl ReteNetwork {
         // `const_check` has verified the constant slots; the residual
         // walk covers the rest (unless compilation could not resolve
         // the slots — then the full matcher reports the error).
-        let matched = match &self.prods[pi].nodes[0].residual {
+        let matched = match &self.prods[pi].compiled.nodes[0].residual {
             Some(residual) => match_resolved_slots(residual, fact, &mut bindings, host)?,
             None => p.matches(fact, &mut bindings, host)?,
         };
@@ -396,7 +403,7 @@ impl ReteNetwork {
             }
         }
         for prod in 0..self.prods.len() {
-            if self.prods[prod].fast {
+            if self.prods[prod].compiled.fast {
                 // Fast productions keep no root token; an empty working
                 // memory means they simply have no matches to rebuild.
                 continue;
@@ -469,7 +476,7 @@ impl ReteNetwork {
                 // their blockers from a working memory that already
                 // contains the fact, so doing supports first counts the
                 // fact exactly once either way.
-                let rule = self.prods[pi].rule.clone();
+                let rule = self.prods[pi].compiled.rule.clone();
                 self.update_supports_on_assert(
                     pi,
                     &rule,
@@ -481,7 +488,7 @@ impl ReteNetwork {
                 )?;
             }
             let mut emitted: Vec<(usize, TokenId)> = Vec::new();
-            if self.prods[pi].fast {
+            if self.prods[pi].compiled.fast {
                 // Single positive pattern at position 0: one site, one
                 // possible emission, no token tree to grow.
                 while let Some((p, _)) = pos_sites.first().copied() {
@@ -619,7 +626,7 @@ impl ReteNetwork {
                 self.stats.tokens_removed += entry.virtual_tokens;
                 self.stats.tokens_live -= entry.virtual_tokens;
                 if entry.complete {
-                    let len = self.prods[entry.prod].rule.lhs().len();
+                    let len = self.prods[entry.prod].compiled.rule.lhs().len();
                     let mut tuple = Vec::with_capacity(len);
                     tuple.push(Some(id));
                     tuple.resize(len, None);
@@ -676,7 +683,7 @@ impl ReteNetwork {
         host: &mut dyn Host,
         out: &mut Vec<TokenId>,
     ) -> Result<()> {
-        let rule = self.prods[pi].rule.clone();
+        let rule = self.prods[pi].compiled.rule.clone();
         let level = self.tokens[&token_id].level;
         if level == rule.lhs().len() {
             out.push(token_id);
@@ -751,7 +758,7 @@ impl ReteNetwork {
         host: &mut dyn Host,
         out: &mut Vec<TokenId>,
     ) -> Result<()> {
-        let rule = self.prods[pi].rule.clone();
+        let rule = self.prods[pi].compiled.rule.clone();
         let CondElem::Pattern(p) = &rule.lhs()[level] else { unreachable!() };
         self.stats.join_attempts += 1;
         let mut extended = self.tokens[&parent].bindings.clone();
@@ -804,6 +811,7 @@ impl ReteNetwork {
         // Index the token in its memory under the consuming node's join
         // variable, when that node has one.
         let join_key = self.prods[pi]
+            .compiled
             .nodes
             .get(level + 1)
             .and_then(|n| n.join.as_ref())
@@ -846,8 +854,9 @@ impl ReteNetwork {
         while let Some(t) = stack.pop() {
             let Some(tok) = self.tokens.remove(&t) else { continue };
             stack.extend(tok.children.iter().copied());
-            let last_level = tok.level == self.prods[tok.prod].nodes.len();
+            let last_level = tok.level == self.prods[tok.prod].compiled.nodes.len();
             let join_key = self.prods[tok.prod]
+                .compiled
                 .nodes
                 .get(tok.level)
                 .and_then(|n| n.join.as_ref())
@@ -894,7 +903,7 @@ impl ReteNetwork {
         token: &TokenId,
         wm: &WorkingMemory,
     ) -> Vec<FactId> {
-        let node = &self.prods[pi].nodes[level];
+        let node = &self.prods[pi].compiled.nodes[level];
         if let Some((slot, var)) = &node.join {
             if let Some(value) = self.tokens[token].bindings.get(var.as_ref()) {
                 let (slot, value) = (*slot, value.clone());
@@ -927,7 +936,7 @@ impl ReteNetwork {
     /// conservative unindexed set), or the whole memory.
     fn right_parents(&mut self, pi: usize, level: usize, fact: &Fact) -> Vec<TokenId> {
         let memory = &self.prods[pi].memories[level];
-        if let Some((slot, _)) = &self.prods[pi].nodes[level].join {
+        if let Some((slot, _)) = &self.prods[pi].compiled.nodes[level].join {
             let value = &fact.slots()[*slot];
             self.stats.index_lookups += 1;
             let mut parents: Vec<TokenId> = match memory.index.get(value) {
@@ -946,7 +955,7 @@ impl ReteNetwork {
 
     /// Cheap constant-slot gate before a full pattern verification.
     fn const_check(&mut self, pi: usize, level: usize, fact: &Fact) -> bool {
-        let node = &self.prods[pi].nodes[level];
+        let node = &self.prods[pi].compiled.nodes[level];
         if node.consts.is_empty() {
             return true;
         }
@@ -974,7 +983,7 @@ impl ReteNetwork {
     /// All complete matches of one rule in full-tuple order (the naive
     /// full-recompute DFS emission order).
     fn complete_matches(&self, pi: usize) -> Vec<Emission> {
-        let last = self.prods[pi].nodes.len();
+        let last = self.prods[pi].compiled.nodes.len();
         let tokens: Vec<TokenId> =
             self.prods[pi].memories[last].by_tuple.values().copied().collect();
         self.emissions_sorted(pi, tokens)

@@ -18,41 +18,17 @@
 //!   reproduces `tests/golden/warnings.txt` and
 //!   `tests/golden/explain.txt` byte-for-byte.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use hth::harrier::SecpertEvent;
 use hth::hth_fleet::{warning_multiset, AnalystPool, PoolConfig};
-use hth::hth_workloads::{all_scenarios, Group, Scenario};
-use hth::{PolicyConfig, Secpert, Session, SessionConfig, Warning};
+use hth::hth_workloads::{all_scenarios, Group};
+use hth::{PolicyConfig, Secpert, Warning};
 use proptest::prelude::*;
 
 /// Batch sizes the differential sweeps; `usize::MAX` stands for
 /// "whole journal in one batch" (chunked, it clamps to the stream).
 const BATCH_SIZES: [usize; 6] = [1, 2, 3, 7, 64, usize::MAX];
-
-/// Records one scenario's event stream through the session tap,
-/// without inline analysis — the raw material every differential run
-/// re-analyzes offline.
-fn record(scenario: &Scenario) -> Vec<SecpertEvent> {
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let config =
-        SessionConfig { analyze_inline: false, record_events: false, ..Default::default() };
-    let mut session = Session::new(config).expect("policy loads");
-    let start = (scenario.setup)(&mut session);
-    let sink = Arc::clone(&events);
-    session.set_event_tap(Box::new(move |event| {
-        sink.lock().expect("event sink").push(event.clone());
-    }));
-    let argv: Vec<&str> = start.argv.iter().map(String::as_str).collect();
-    let env: Vec<(&str, &str)> = start.env.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-    session.start(start.path, &argv, &env).expect("spawns");
-    session.run().expect("runs");
-    drop(session);
-    Arc::try_unwrap(events)
-        .unwrap_or_else(|_| unreachable!("tap dropped with the session"))
-        .into_inner()
-        .expect("event sink")
-}
 
 /// The recorded §8 streams (Table 8 exploits plus the `ttt` macro
 /// pair), captured once — recording runs whole VM sessions and is by
@@ -66,7 +42,7 @@ fn corpus() -> &'static Vec<(String, Vec<SecpertEvent>)> {
                 .into_iter()
                 .filter(|s| s.id == "ttt" || s.id == "ttt_trojaned"),
         );
-        scenarios.iter().map(|s| (s.id.to_string(), record(s))).collect()
+        scenarios.iter().map(|s| (s.id.to_string(), s.record().expect(s.id))).collect()
     })
 }
 
@@ -253,7 +229,7 @@ fn batched_replay_reproduces_golden_corpus() {
         if scenario.group != Group::Exploit && scenario.group != Group::Macro {
             continue;
         }
-        let stream = record(&scenario);
+        let stream = scenario.record().expect(scenario.id);
         let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
         let mut warnings = Vec::new();
         for run in stream.chunks(64) {
