@@ -1452,6 +1452,53 @@ mod tests {
     }
 
     #[test]
+    fn spawn_materialises_written_pages_only_and_fork_copies_them() {
+        let mut kernel = Kernel::new();
+        kernel.register_binary(
+            "/bin/forker",
+            r#"
+            .equ SCRATCH, 0x09000000
+            _start:
+                mov eax, 2          ; fork
+                int 0x80
+                cmp eax, 0
+                je child
+                mov [SCRATCH], 1
+                hlt
+            child:
+                mov [SCRATCH], 2
+                mov [SCRATCH+0x10000], 2
+                hlt
+            .data
+            msg: .asciz "hi"
+            "#,
+            &[],
+        );
+        let mut parent = kernel.spawn("/bin/forker", &["f"], &[]).unwrap();
+        // Stack and scratch are mapped in full, but only the data section
+        // and the argv block at the top of the stack have been written.
+        let mapped = (STACK_TOP - STACK_BASE + SCRATCH_SIZE) / hth_vm::PAGE_SIZE;
+        assert_eq!(mapped, 576);
+        assert!(parent.core.mem.is_mapped(STACK_BASE));
+        assert!(parent.core.mem.is_mapped(SCRATCH_BASE + SCRATCH_SIZE - 1));
+        assert_eq!(parent.core.mem.resident_pages(), 2);
+        while parent.core.step(&mut NullHooks).unwrap() == StepEvent::Continue {}
+        kernel.syscall(&mut parent);
+        let mut child = kernel.fork(&parent);
+        parent.core.cpu.set(Reg::Eax, child.pid);
+        for proc in [&mut parent, &mut child] {
+            while proc.core.step(&mut NullHooks).unwrap() == StepEvent::Continue {}
+        }
+        // Each side sees only its own writes.
+        assert_eq!(parent.core.mem.read_u32(SCRATCH_BASE), Ok(1));
+        assert_eq!(child.core.mem.read_u32(SCRATCH_BASE), Ok(2));
+        assert_eq!(parent.core.mem.read_u32(SCRATCH_BASE + 0x10000), Ok(0));
+        assert_eq!(child.core.mem.read_u32(SCRATCH_BASE + 0x10000), Ok(2));
+        assert_eq!(parent.core.mem.resident_pages(), 3);
+        assert_eq!(child.core.mem.resident_pages(), 4);
+    }
+
+    #[test]
     fn socket_client_round_trip() {
         use crate::net::Peer;
         let mut kernel = Kernel::new();

@@ -1,7 +1,8 @@
 //! Shadow state: one [`TagRef`] per register and per memory byte.
 //!
-//! Shadow memory is demand-allocated in 4 KiB pages, and each page is
-//! kept in the most compact of two representations:
+//! Shadow memory is demand-allocated in 4 KiB pages on the VM's
+//! [`PageTable`], the same direct-indexed table that holds guest memory,
+//! and each page is kept in the most compact of two representations:
 //!
 //! * [`Page::Uniform`] — every byte of the page carries the same tag
 //!   (one word for the whole page). Whole-buffer tagging, the common
@@ -13,13 +14,11 @@
 //! [`TagStore`], reads and writes never touch a refcount and range
 //! unions skip runs of identical refs with O(1) equality checks.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use hth_vm::{Loc, Reg, TaintOp};
+use hth_vm::{Loc, PageTable, Reg, TaintOp, PAGE_SIZE as PAGE};
 
 use crate::tag::{SourceId, TagRef, TagStore};
-
-const PAGE: u32 = 4096;
 
 /// One 4 KiB shadow page.
 #[derive(Clone, Debug)]
@@ -27,20 +26,25 @@ enum Page {
     /// Every byte carries this tag.
     Uniform(TagRef),
     /// Per-byte tags (the page has diverged).
-    Dense(Box<[TagRef]>),
+    Dense(Box<[TagRef; PAGE as usize]>),
 }
 
 impl Page {
     /// Converts to the per-byte representation and returns it.
-    fn densify(&mut self) -> &mut [TagRef] {
+    fn densify(&mut self) -> &mut [TagRef; PAGE as usize] {
         if let Page::Uniform(t) = *self {
-            *self = Page::Dense(vec![t; PAGE as usize].into());
+            *self = Page::Dense(dense(t));
         }
         match self {
             Page::Dense(bytes) => bytes,
             Page::Uniform(_) => unreachable!("just densified"),
         }
     }
+}
+
+/// A dense page with every byte set to `tag`.
+fn dense(tag: TagRef) -> Box<[TagRef; PAGE as usize]> {
+    vec![tag; PAGE as usize].into_boxed_slice().try_into().expect("one page of tags")
 }
 
 /// Per-process shadow register file and shadow memory.
@@ -51,7 +55,7 @@ impl Page {
 #[derive(Clone, Debug, Default)]
 pub struct Shadow {
     regs: [TagRef; 8],
-    pages: HashMap<u32, Page>,
+    pages: PageTable<Page>,
 }
 
 impl Shadow {
@@ -72,7 +76,7 @@ impl Shadow {
 
     /// Tag of one memory byte.
     pub fn byte(&self, addr: u32) -> TagRef {
-        match self.pages.get(&(addr / PAGE)) {
+        match self.pages.get(addr) {
             Some(Page::Uniform(t)) => *t,
             Some(Page::Dense(bytes)) => bytes[(addr % PAGE) as usize],
             None => TagRef::EMPTY,
@@ -81,16 +85,16 @@ impl Shadow {
 
     /// Sets one memory byte's tag.
     pub fn set_byte(&mut self, addr: u32, tag: TagRef) {
-        let (pno, off) = (addr / PAGE, (addr % PAGE) as usize);
-        if let Some(page) = self.pages.get_mut(&pno) {
+        let off = (addr % PAGE) as usize;
+        if let Some(page) = self.pages.get_mut(addr) {
             match page {
                 Page::Uniform(t) if *t == tag => {}
                 _ => page.densify()[off] = tag,
             }
         } else if !tag.is_empty() {
-            let mut bytes = vec![TagRef::EMPTY; PAGE as usize].into_boxed_slice();
+            let mut bytes = dense(TagRef::EMPTY);
             bytes[off] = tag;
-            self.pages.insert(pno, Page::Dense(bytes));
+            *self.pages.slot(addr) = Some(Page::Dense(bytes));
         }
     }
 
@@ -104,9 +108,9 @@ impl Shadow {
         let mut cur = addr;
         let mut rem = len;
         while rem > 0 {
-            let (pno, off) = (cur / PAGE, cur % PAGE);
+            let off = cur % PAGE;
             let n = (PAGE - off).min(rem);
-            match self.pages.get(&pno) {
+            match self.pages.get(cur) {
                 None => {}
                 Some(Page::Uniform(t)) => out = store.union(out, *t),
                 Some(Page::Dense(bytes)) => {
@@ -132,15 +136,15 @@ impl Shadow {
         let mut cur = addr;
         let mut rem = len;
         while rem > 0 {
-            let (pno, off) = (cur / PAGE, cur % PAGE);
+            let off = cur % PAGE;
             let n = (PAGE - off).min(rem);
             if n == PAGE {
                 if tag.is_empty() {
-                    self.pages.remove(&pno);
+                    self.pages.remove(cur);
                 } else {
-                    self.pages.insert(pno, Page::Uniform(tag));
+                    *self.pages.slot(cur) = Some(Page::Uniform(tag));
                 }
-            } else if let Some(page) = self.pages.get_mut(&pno) {
+            } else if let Some(page) = self.pages.get_mut(cur) {
                 match page {
                     Page::Uniform(t) if *t == tag => {}
                     _ => {
@@ -148,9 +152,9 @@ impl Shadow {
                     }
                 }
             } else if !tag.is_empty() {
-                let mut bytes = vec![TagRef::EMPTY; PAGE as usize].into_boxed_slice();
+                let mut bytes = dense(TagRef::EMPTY);
                 bytes[off as usize..(off + n) as usize].fill(tag);
-                self.pages.insert(pno, Page::Dense(bytes));
+                *self.pages.slot(cur) = Some(Page::Dense(bytes));
             }
             cur = cur.wrapping_add(n);
             rem -= n;
@@ -205,9 +209,9 @@ impl Shadow {
         let mut cur = addr;
         let mut rem = len;
         while rem > 0 {
-            let (pno, off) = (cur / PAGE, cur % PAGE);
+            let off = cur % PAGE;
             let n = (PAGE - off).min(rem);
-            match self.pages.get(&pno) {
+            match self.pages.get(cur) {
                 None => {}
                 Some(Page::Uniform(t)) => {
                     refs.insert(*t);
@@ -266,7 +270,7 @@ mod tests {
         assert_eq!(s.range(3 * PAGE, 3 * PAGE, &mut store), f);
         // Clearing a full page frees it entirely.
         s.clear_range(3 * PAGE, PAGE);
-        assert_eq!(s.pages.len(), 2);
+        assert_eq!(s.pages.values().count(), 2);
         // A diverging byte densifies exactly one page.
         s.set_byte(4 * PAGE + 7, b);
         assert_eq!(s.pages.values().filter(|p| matches!(p, Page::Dense(_))).count(), 1);

@@ -6,17 +6,26 @@
 //! implementations consume the same sequence, and after every operation
 //! the *resolved* tag sets (sorted `SourceId` slices) of all registers
 //! and the touched range must agree. A final sweep compares every byte
-//! of the exercised arena.
+//! of the exercised arena. The arena is placed at one of a few anchors
+//! chosen against the page table's layout: low memory, across a 4 MiB
+//! page-directory boundary, and at the top of the address space, where
+//! ranges wrap past `0xffff_ffff` to address 0.
 
 use proptest::prelude::*;
 
 use harrier::{DataSource, NaiveShadow, Shadow, SourceId, SourceTable, TagRef, TagSet, TagStore};
 use hth_vm::{Loc, Reg, TaintOp};
 
-/// Arena the operations address: spans three page boundaries so page
-/// fast paths (uniform fills, boundary-straddling ranges) get exercised.
-const BASE: u32 = 0x1000 - 64;
+/// Size of the arena the operations address: at every anchor it spans
+/// three page boundaries so page fast paths (uniform fills,
+/// boundary-straddling ranges) get exercised.
 const ARENA: u32 = 3 * 4096 + 128;
+
+/// Arena start addresses: low memory; straddling the page-directory
+/// boundary at 4 MiB; and straddling the top of the address space, so
+/// ranges near the arena's middle wrap past `0xffff_ffff` to 0.
+const ANCHORS: [u32; 3] =
+    [0x1000 - 64, 0x0040_0000 - 2 * 4096 + 64, 0u32.wrapping_sub(2 * 4096 - 64)];
 
 #[derive(Clone, Debug)]
 enum DiffOp {
@@ -68,10 +77,10 @@ enum LocSpec {
 }
 
 impl LocSpec {
-    fn loc(&self) -> Loc {
+    fn loc(&self, base: u32) -> Loc {
         match self {
             LocSpec::Reg(i) => Loc::Reg(Reg::ALL[*i]),
-            LocSpec::Mem { off, len } => Loc::Mem(BASE + off, *len),
+            LocSpec::Mem { off, len } => Loc::Mem(base.wrapping_add(*off), *len),
         }
     }
 }
@@ -112,6 +121,8 @@ fn op_strategy() -> impl Strategy<Value = DiffOp> {
 }
 
 struct Harness {
+    /// Address of arena offset 0.
+    base: u32,
     store: TagStore,
     srcs: Vec<SourceId>,
     binary: SourceId,
@@ -124,12 +135,13 @@ struct Harness {
 }
 
 impl Harness {
-    fn new() -> Harness {
+    fn new(base: u32) -> Harness {
         let mut table = SourceTable::new();
         let srcs = (0..6).map(|i| table.intern(DataSource::file(format!("/d{i}")))).collect();
         let binary = table.intern(DataSource::binary("/bin/app"));
         let hardware = table.intern(DataSource::Hardware);
         Harness {
+            base,
             store: TagStore::new(),
             srcs,
             binary,
@@ -145,13 +157,17 @@ impl Harness {
         self.store.ids(r).to_vec()
     }
 
+    fn addr(&self, off: u32) -> u32 {
+        self.base.wrapping_add(off)
+    }
+
     fn step(&mut self, op: &DiffOp) {
         match op {
             DiffOp::SetByte { off, src } => {
                 let id = self.srcs[*src];
-                self.naive.set_byte(BASE + off, TagSet::single(id));
+                self.naive.set_byte(self.addr(*off), TagSet::single(id));
                 let tag = self.store.single(id);
-                self.fast.set_byte(BASE + off, tag);
+                self.fast.set_byte(self.addr(*off), tag);
             }
             DiffOp::SetRange { off, len, src } => {
                 let (set, tag) = match src {
@@ -161,26 +177,26 @@ impl Harness {
                     }
                     None => (TagSet::empty(), TagRef::EMPTY),
                 };
-                self.naive.set_range(BASE + off, *len, &set);
-                self.fast.set_range(BASE + off, *len, tag);
+                self.naive.set_range(self.addr(*off), *len, &set);
+                self.fast.set_range(self.addr(*off), *len, tag);
             }
             DiffOp::SetRangeMulti { off, len, srcs } => {
                 let ids: Vec<SourceId> = srcs.iter().map(|s| self.srcs[*s]).collect();
-                self.naive.set_range(BASE + off, *len, &TagSet::from_ids(ids.iter().copied()));
+                self.naive.set_range(self.addr(*off), *len, &TagSet::from_ids(ids.iter().copied()));
                 let tag = self.store.from_ids(ids.iter().copied());
-                self.fast.set_range(BASE + off, *len, tag);
+                self.fast.set_range(self.addr(*off), *len, tag);
             }
             DiffOp::PipeWrite { off, len } => {
-                let written_naive = self.naive.range(BASE + off, *len);
+                let written_naive = self.naive.range(self.addr(*off), *len);
                 self.pipe_naive =
                     TagSet::from_ids(self.pipe_naive.iter().chain(written_naive.iter()));
-                let written_fast = self.fast.range(BASE + off, *len, &mut self.store);
+                let written_fast = self.fast.range(self.addr(*off), *len, &mut self.store);
                 self.pipe_fast = self.store.union(self.pipe_fast, written_fast);
             }
             DiffOp::PipeRead { off, len } => {
                 let set = self.pipe_naive.clone();
-                self.naive.set_range(BASE + off, *len, &set);
-                self.fast.set_range(BASE + off, *len, self.pipe_fast);
+                self.naive.set_range(self.addr(*off), *len, &set);
+                self.fast.set_range(self.addr(*off), *len, self.pipe_fast);
             }
             DiffOp::SetReg { reg, srcs } => {
                 let ids: Vec<SourceId> = srcs.iter().map(|s| self.srcs[*s]).collect();
@@ -189,9 +205,10 @@ impl Harness {
                 self.fast.set_reg(Reg::ALL[*reg], tag);
             }
             DiffOp::Apply { dst, src1, src2, imm, hw } => {
+                let base = self.base;
                 let taint_op = TaintOp {
-                    dst: dst.loc(),
-                    srcs: [src1.as_ref().map(LocSpec::loc), src2.as_ref().map(LocSpec::loc)],
+                    dst: dst.loc(base),
+                    srcs: [src1.as_ref().map(|l| l.loc(base)), src2.as_ref().map(|l| l.loc(base))],
                     imm: *imm,
                     hardware: *hw,
                 };
@@ -203,17 +220,18 @@ impl Harness {
         }
     }
 
-    /// The memory span an op touches (for targeted post-op checks).
+    /// The arena span (offset, length) an op touches (for targeted
+    /// post-op checks).
     fn touched(op: &DiffOp) -> Option<(u32, u32)> {
         match op {
-            DiffOp::SetByte { off, .. } => Some((BASE + off, 1)),
-            DiffOp::SetRange { off, len, .. } => Some((BASE + off, *len)),
-            DiffOp::SetRangeMulti { off, len, .. } => Some((BASE + off, *len)),
+            DiffOp::SetByte { off, .. } => Some((*off, 1)),
+            DiffOp::SetRange { off, len, .. } => Some((*off, *len)),
+            DiffOp::SetRangeMulti { off, len, .. } => Some((*off, *len)),
             DiffOp::PipeWrite { .. } => None,
-            DiffOp::PipeRead { off, len } => Some((BASE + off, *len)),
+            DiffOp::PipeRead { off, len } => Some((*off, *len)),
             DiffOp::SetReg { .. } => None,
             DiffOp::Apply { dst, .. } => match dst {
-                LocSpec::Mem { off, len } => Some((BASE + off, *len)),
+                LocSpec::Mem { off, len } => Some((*off, *len)),
                 LocSpec::Reg(_) => None,
             },
         }
@@ -226,9 +244,10 @@ proptest! {
     /// Lock-step equivalence of naive and compressed shadows.
     #[test]
     fn compressed_shadow_matches_naive_oracle(
+        base in (0..ANCHORS.len()).prop_map(|i| ANCHORS[i]),
         ops in prop::collection::vec(op_strategy(), 1..48),
     ) {
-        let mut h = Harness::new();
+        let mut h = Harness::new(base);
         for op in &ops {
             h.step(op);
             // Registers must agree after every single operation.
@@ -244,24 +263,25 @@ proptest! {
             prop_assert_eq!(&pipe_naive, &h.resolve(pipe_fast), "pipe tag after {:?}", op);
             // The touched range must resolve identically, including a
             // widened window to catch off-by-one page-boundary bugs.
-            if let Some((addr, len)) = Harness::touched(op) {
-                let lo = addr.saturating_sub(2).max(BASE);
-                let wide = (len + 4).min(BASE + ARENA - lo);
-                let naive: Vec<SourceId> = h.naive.range(lo, wide).iter().collect();
-                let fast_ref = h.fast.range(lo, wide, &mut h.store);
+            if let Some((off, len)) = Harness::touched(op) {
+                let lo = off.saturating_sub(2);
+                let wide = (len + 4).min(ARENA - lo);
+                let naive: Vec<SourceId> = h.naive.range(h.addr(lo), wide).iter().collect();
+                let fast_ref = h.fast.range(h.addr(lo), wide, &mut h.store);
                 prop_assert_eq!(&naive, &h.resolve(fast_ref), "range after {:?}", op);
             }
         }
         // Final sweep: every byte of the arena agrees.
-        for addr in BASE..BASE + ARENA {
+        for off in 0..ARENA {
+            let addr = h.addr(off);
             let naive: Vec<SourceId> = h.naive.byte(addr).iter().collect();
             let fast_ref = h.fast.byte(addr);
             prop_assert_eq!(&naive, &h.resolve(fast_ref), "byte {addr:#x} diverged");
         }
         // And the whole-arena union agrees (exercises the page-skipping
         // fast path against the per-byte fold).
-        let naive: Vec<SourceId> = h.naive.range(BASE, ARENA).iter().collect();
-        let fast_ref = h.fast.range(BASE, ARENA, &mut h.store);
+        let naive: Vec<SourceId> = h.naive.range(base, ARENA).iter().collect();
+        let fast_ref = h.fast.range(base, ARENA, &mut h.store);
         prop_assert_eq!(&naive, &h.resolve(fast_ref), "whole-arena union diverged");
     }
 }

@@ -175,8 +175,16 @@ mod tests {
 
     #[test]
     fn ablation_shape_matches_paper() {
-        // Small workload: check ordering, not absolute numbers.
-        let rows = ablation(40);
+        // Small workload: check ordering, not absolute numbers. Each run
+        // takes well under a millisecond, so one host stall could flip
+        // the order; keep each configuration's fastest of five runs (a
+        // stall only ever adds time).
+        let mut rows = ablation(40);
+        for _ in 1..5 {
+            for (best, row) in rows.iter_mut().zip(ablation(40)) {
+                best.seconds = best.seconds.min(row.seconds);
+            }
+        }
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].slowdown, 1.0);
         // All configurations retire the same workload instructions.

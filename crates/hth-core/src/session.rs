@@ -261,21 +261,32 @@ impl Session {
     }
 
     fn run_quantum(&mut self, idx: usize, report: &mut RunReport) -> Result<(), SessionError> {
-        for _ in 0..self.config.quantum {
-            if self.instructions >= self.config.max_instructions {
+        let mut left = self.config.quantum;
+        loop {
+            let budget = left.min(self.config.max_instructions.saturating_sub(self.instructions));
+            if budget == 0 || !self.procs[idx].runnable() {
                 return Ok(());
             }
-            if !self.procs[idx].runnable() {
-                return Ok(());
-            }
+            // Step until something other than `Continue` happens or the
+            // budget runs out. Nothing between two such stops reads the
+            // clock, so the hooks and the clock are each touched once per
+            // run rather than once per instruction.
             let pid = self.procs[idx].pid;
-            let step = {
+            let (ran, step) = {
                 let proc = &mut self.procs[idx];
                 let mut hooks = self.harrier.hooks(pid);
-                proc.core.step(&mut hooks)
+                let mut ran = 0;
+                loop {
+                    let step = proc.core.step(&mut hooks);
+                    ran += 1;
+                    if ran == budget || !matches!(step, Ok(StepEvent::Continue)) {
+                        break (ran, step);
+                    }
+                }
             };
-            self.instructions += 1;
-            self.kernel.note_instructions(1);
+            left -= ran;
+            self.instructions += ran;
+            self.kernel.note_instructions(ran);
             match step {
                 Ok(StepEvent::Continue) => {}
                 Ok(StepEvent::Halted) => {
@@ -296,7 +307,6 @@ impl Session {
                 }
             }
         }
-        Ok(())
     }
 
     fn handle_syscall(&mut self, idx: usize) -> Result<(), SessionError> {

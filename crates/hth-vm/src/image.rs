@@ -24,6 +24,8 @@ pub struct Image {
     /// external symbol, with the symbol name (patched at load time).
     externs: Vec<(usize, Arc<str>)>,
     bb_leaders: Vec<u32>,
+    /// Per text index: does that instruction start a basic block?
+    is_leader: Vec<bool>,
 }
 
 impl Image {
@@ -40,6 +42,10 @@ impl Image {
         externs: Vec<(usize, Arc<str>)>,
     ) -> Image {
         let bb_leaders = crate::bb::find_leaders(text_base, &text);
+        let mut is_leader = vec![false; text.len()];
+        for &leader in &bb_leaders {
+            is_leader[((leader - text_base) / 4) as usize] = true;
+        }
         Image {
             name: Arc::from(name),
             text_base,
@@ -50,6 +56,7 @@ impl Image {
             exports,
             externs,
             bb_leaders,
+            is_leader,
         }
     }
 
@@ -94,15 +101,28 @@ impl Image {
         self.text_base + 4 * idx as u32
     }
 
-    /// Instruction at `addr`, if it lies inside this image's text.
-    pub fn instr_at(&self, addr: u32) -> Option<&Instr> {
+    /// Text index of the instruction at `addr`, if it lies inside this
+    /// image's text.
+    fn index_of(&self, addr: u32) -> Option<usize> {
         if addr < self.text_base
             || addr >= self.text_end()
             || !(addr - self.text_base).is_multiple_of(4)
         {
             return None;
         }
-        self.text.get(((addr - self.text_base) / 4) as usize)
+        Some(((addr - self.text_base) / 4) as usize)
+    }
+
+    /// Instruction at `addr`, if it lies inside this image's text.
+    pub fn instr_at(&self, addr: u32) -> Option<&Instr> {
+        self.text.get(self.index_of(addr)?)
+    }
+
+    /// Instruction at `addr` and whether it starts a basic block, if
+    /// `addr` lies inside this image's text.
+    pub(crate) fn fetch(&self, addr: u32) -> Option<(&Instr, bool)> {
+        let idx = self.index_of(addr)?;
+        Some((&self.text[idx], self.is_leader[idx]))
     }
 
     /// Base address of the initialised data section.
@@ -133,19 +153,6 @@ impl Image {
     /// Addresses that start a basic block, ascending.
     pub fn bb_leaders(&self) -> &[u32] {
         &self.bb_leaders
-    }
-
-    /// The basic-block leader governing `addr` (the greatest leader
-    /// `<= addr`), if `addr` is inside this image's text.
-    pub fn bb_of(&self, addr: u32) -> Option<u32> {
-        if addr < self.text_base || addr >= self.text_end() {
-            return None;
-        }
-        match self.bb_leaders.binary_search(&addr) {
-            Ok(i) => Some(self.bb_leaders[i]),
-            Err(0) => None,
-            Err(i) => Some(self.bb_leaders[i - 1]),
-        }
     }
 
     /// True when `addr` is inside this image's text section.

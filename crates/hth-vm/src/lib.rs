@@ -53,9 +53,11 @@ mod image;
 mod isa;
 mod machine;
 mod mem;
+mod pagetable;
 
 pub use asm::AsmError;
 pub use image::{Image, ImageId};
 pub use isa::{AluOp, Cond, Instr, MemRef, Operand, Reg, Target};
 pub use machine::{Core, Cpu, Flags, Hooks, Loc, NullHooks, StepEvent, TaintOp, VmError};
-pub use mem::{MemFault, Memory, PAGE_SIZE};
+pub use mem::{MemFault, Memory};
+pub use pagetable::{PageTable, PAGE_SIZE};

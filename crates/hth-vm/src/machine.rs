@@ -143,7 +143,8 @@ impl Hooks for NullHooks {}
 pub enum VmError {
     /// Data access to unmapped memory.
     Fault(MemFault),
-    /// Instruction fetch from an address outside every image's text.
+    /// Instruction fetch from an address outside every image's text, or
+    /// between two of its instructions.
     NoText(u32),
     /// Control transfer through an extern that the loader never resolved.
     UnresolvedExtern(String),
@@ -411,25 +412,22 @@ impl Core {
 
     // ---- execution ---------------------------------------------------------
 
-    /// Executes one instruction under the given monitor hooks.
+    /// Executes one instruction under the given monitor hooks. Generic
+    /// over the hooks so a concrete monitor's callbacks are inlined;
+    /// `&mut dyn Hooks` works too.
     ///
     /// # Errors
     ///
     /// Returns a [`VmError`] when the program faults (unmapped access,
     /// wild jump, unresolved extern). Faults model the monitored program
     /// crashing, not a monitor failure.
-    pub fn step(&mut self, hooks: &mut dyn Hooks) -> Result<StepEvent, VmError> {
+    pub fn step<H: Hooks + ?Sized>(&mut self, hooks: &mut H) -> Result<StepEvent, VmError> {
         let eip = self.cpu.eip;
         let image_idx = self.find_image_idx(eip).ok_or(VmError::NoText(eip))?;
         self.last_image = image_idx;
         let image_id = ImageId(image_idx as u32);
-        let (is_leader, instr) = {
-            let image = &self.images[image_idx];
-            (
-                image.bb_of(eip) == Some(eip),
-                image.instr_at(eip).expect("find_image_idx guarantees text range").clone(),
-            )
-        };
+        let (instr, is_leader) = self.images[image_idx].fetch(eip).ok_or(VmError::NoText(eip))?;
+        let instr = instr.clone();
         if is_leader {
             hooks.on_bb(image_id, eip);
         }
@@ -828,6 +826,17 @@ mod tests {
         core.start();
         core.step(&mut NullHooks).unwrap();
         assert!(matches!(core.step(&mut NullHooks), Err(VmError::NoText(0x9999_9000))));
+    }
+
+    #[test]
+    fn misaligned_jump_is_no_text() {
+        let img = assemble("/bin/t", "_start:\n jmp 0x1002\n hlt\n", 0x1000).unwrap();
+        let mut core = Core::new();
+        core.load_image(img);
+        core.link().unwrap();
+        core.start();
+        core.step(&mut NullHooks).unwrap();
+        assert!(matches!(core.step(&mut NullHooks), Err(VmError::NoText(0x1002))));
     }
 
     #[test]

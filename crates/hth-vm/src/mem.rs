@@ -1,10 +1,8 @@
 //! Sparse paged memory for the virtual machine.
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// Page size in bytes (4 KiB, like the hardware being modelled).
-pub const PAGE_SIZE: u32 = 4096;
+use crate::pagetable::{PageTable, PAGE_SIZE};
 
 /// Error raised on access to unmapped memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,11 +19,41 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// A sparse, demand-allocated 32-bit address space.
+/// A mapped page.
+#[derive(Clone, Debug)]
+enum Frame {
+    /// Never written: reads as zeros and owns no storage.
+    Zero,
+    /// Written at least once.
+    Data(Box<[u8; PAGE_SIZE as usize]>),
+}
+
+impl Frame {
+    /// The page's bytes, allocated (zeroed) on the first write.
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE as usize] {
+        if let Frame::Zero = self {
+            let zeroed = vec![0; PAGE_SIZE as usize].into_boxed_slice();
+            *self = Frame::Data(zeroed.try_into().expect("one page of bytes"));
+        }
+        match self {
+            Frame::Data(bytes) => bytes,
+            Frame::Zero => unreachable!("just allocated"),
+        }
+    }
+}
+
+/// Offset of `addr` within its page.
+fn offset(addr: u32) -> usize {
+    (addr % PAGE_SIZE) as usize
+}
+
+/// A sparse 32-bit address space whose cost follows the pages written.
 ///
 /// Pages must be [mapped](Memory::map) before access — unmapped accesses
 /// fault, which the interpreter reports as a crash of the monitored
-/// program (faithful to running a real binary under Pin).
+/// program (faithful to running a real binary under Pin). A mapped page
+/// reads as zeros and gets storage on its first write, so a clone (a
+/// fork) copies only the pages written so far.
 ///
 /// ```
 /// use hth_vm::Memory;
@@ -37,8 +65,7 @@ impl std::error::Error for MemFault {}
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
-    mapped: Vec<(u32, u32)>,
+    pages: PageTable<Frame>,
 }
 
 impl Memory {
@@ -49,25 +76,26 @@ impl Memory {
 
     /// Maps `[start, end)` (rounded out to page boundaries) as accessible,
     /// zero-filled memory. Mapping an already-mapped range is a no-op for
-    /// the overlapping pages.
+    /// the overlapping pages. Because `end` is exclusive, the top page
+    /// (`0xffff_f000..`) can never be mapped.
     pub fn map(&mut self, start: u32, end: u32) {
         assert!(start <= end, "map range reversed");
         let first = start / PAGE_SIZE;
         let last = end.saturating_add(PAGE_SIZE - 1) / PAGE_SIZE;
         for page in first..last {
-            self.pages.entry(page).or_insert_with(|| Box::new([0; PAGE_SIZE as usize]));
+            self.pages.slot(page * PAGE_SIZE).get_or_insert(Frame::Zero);
         }
-        self.mapped.push((start, end));
-    }
-
-    /// Mapped ranges in mapping order (diagnostics).
-    pub fn mappings(&self) -> &[(u32, u32)] {
-        &self.mapped
     }
 
     /// True when `addr` lies on a mapped page.
     pub fn is_mapped(&self, addr: u32) -> bool {
-        self.pages.contains_key(&(addr / PAGE_SIZE))
+        self.pages.get(addr).is_some()
+    }
+
+    /// Number of pages that hold storage, i.e. were written since they
+    /// were mapped (diagnostics).
+    pub fn resident_pages(&self) -> usize {
+        self.pages.values().filter(|frame| matches!(frame, Frame::Data(_))).count()
     }
 
     /// Reads one byte.
@@ -76,8 +104,11 @@ impl Memory {
     ///
     /// Returns [`MemFault`] on unmapped addresses.
     pub fn read_u8(&self, addr: u32) -> Result<u8, MemFault> {
-        let page = self.pages.get(&(addr / PAGE_SIZE)).ok_or(MemFault { addr })?;
-        Ok(page[(addr % PAGE_SIZE) as usize])
+        match self.pages.get(addr) {
+            Some(Frame::Data(bytes)) => Ok(bytes[offset(addr)]),
+            Some(Frame::Zero) => Ok(0),
+            None => Err(MemFault { addr }),
+        }
     }
 
     /// Writes one byte.
@@ -86,8 +117,8 @@ impl Memory {
     ///
     /// Returns [`MemFault`] on unmapped addresses.
     pub fn write_u8(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
-        let page = self.pages.get_mut(&(addr / PAGE_SIZE)).ok_or(MemFault { addr })?;
-        page[(addr % PAGE_SIZE) as usize] = value;
+        let frame = self.pages.get_mut(addr).ok_or(MemFault { addr })?;
+        frame.bytes_mut()[offset(addr)] = value;
         Ok(())
     }
 
@@ -95,8 +126,18 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Returns [`MemFault`] on unmapped addresses.
+    /// Returns [`MemFault`] at the first unmapped byte.
     pub fn read_u32(&self, addr: u32) -> Result<u32, MemFault> {
+        let off = offset(addr);
+        if off <= PAGE_SIZE as usize - 4 {
+            return match self.pages.get(addr) {
+                Some(Frame::Data(bytes)) => {
+                    Ok(u32::from_le_bytes(bytes[off..off + 4].try_into().expect("four bytes")))
+                }
+                Some(Frame::Zero) => Ok(0),
+                None => Err(MemFault { addr }),
+            };
+        }
         let mut bytes = [0u8; 4];
         for (i, b) in bytes.iter_mut().enumerate() {
             *b = self.read_u8(addr.wrapping_add(i as u32))?;
@@ -104,12 +145,19 @@ impl Memory {
         Ok(u32::from_le_bytes(bytes))
     }
 
-    /// Writes a little-endian u32 (may straddle pages).
+    /// Writes a little-endian u32 (may straddle pages). A straddling
+    /// write that faults keeps the bytes written before the fault.
     ///
     /// # Errors
     ///
-    /// Returns [`MemFault`] on unmapped addresses.
+    /// Returns [`MemFault`] at the first unmapped byte.
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
+        let off = offset(addr);
+        if off <= PAGE_SIZE as usize - 4 {
+            let frame = self.pages.get_mut(addr).ok_or(MemFault { addr })?;
+            frame.bytes_mut()[off..off + 4].copy_from_slice(&value.to_le_bytes());
+            return Ok(());
+        }
         for (i, b) in value.to_le_bytes().iter().enumerate() {
             self.write_u8(addr.wrapping_add(i as u32), *b)?;
         }
@@ -173,6 +221,17 @@ mod tests {
         assert!(m.is_mapped(0x1000));
         assert!(m.is_mapped(0x1fff));
         assert!(!m.is_mapped(0x2000));
+    }
+
+    #[test]
+    fn pages_get_storage_on_first_write() {
+        let mut m = Memory::new();
+        m.map(0x1000, 0x5000);
+        assert_eq!(m.read_u32(0x1000).unwrap(), 0);
+        assert_eq!(m.resident_pages(), 0, "reads allocate nothing");
+        m.write_u8(0x3001, 7).unwrap();
+        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.read_u32(0x3000).unwrap(), 0x0700);
     }
 
     #[test]
