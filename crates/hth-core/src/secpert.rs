@@ -6,7 +6,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use harrier::{Origin, SecpertEvent, SourceInfo};
-use secpert_engine::snapshot::{self, ByteReader, EngineSnapshot, SnapshotError};
+use secpert_engine::codec::{self, Framing, Reader, HEADER_LEN};
+use secpert_engine::snapshot::{EngineSnapshot, SnapshotError};
 use secpert_engine::{AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
 
 use crate::compiled::CompiledPolicy;
@@ -19,6 +20,10 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"HTHS";
 /// Snapshot format version; bumped on any layout change so an old
 /// server never misreads a new snapshot (and vice versa).
 const SNAPSHOT_VERSION: u8 = 1;
+/// A snapshot is one CRC frame with no length cap: it holds a whole
+/// engine, and a cap would silently turn large revives into full
+/// journal replays.
+const SNAPSHOT_FRAMING: Framing = Framing { crc: true, max_len: u64::MAX };
 
 /// Where the `warn` native records warnings.
 pub(crate) type WarningSink = Arc<Mutex<Vec<Arc<Warning>>>>;
@@ -548,11 +553,12 @@ impl Secpert {
 
     /// Serializes this expert's resumable state: the event cursor plus
     /// the engine's facts, refraction set, and counters (see
-    /// [`EngineSnapshot`]). The layout is `"HTHS"` + a version byte +
-    /// one journal-style CRC frame (`varint length`, little-endian
-    /// CRC32, payload), so torn writes are detected on load exactly like
-    /// a torn journal tail. Warnings are *not* carried — they live in
-    /// the host's sink, and a resumed expert starts with an empty one.
+    /// [`EngineSnapshot`]). The layout is the codec's header (`"HTHS"` +
+    /// a version byte) and one uncapped CRC frame (`varint length`,
+    /// little-endian CRC32, payload), so torn writes are detected on load
+    /// exactly like a torn journal tail. Warnings are *not* carried —
+    /// they live in the host's sink, and a resumed expert starts with an
+    /// empty one.
     ///
     /// # Errors
     ///
@@ -561,14 +567,11 @@ impl Secpert {
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
         let engine_snap = self.engine.snapshot()?;
         let mut payload = Vec::new();
-        snapshot::put_varint(&mut payload, self.events_processed);
+        codec::put_varint(&mut payload, self.events_processed);
         payload.extend_from_slice(&engine_snap.encode());
         let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        snapshot::put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&snapshot::crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        codec::write_header(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+        SNAPSHOT_FRAMING.put(&mut out, &payload);
         Ok(out)
     }
 
@@ -583,32 +586,23 @@ impl Secpert {
     /// fall back to a full journal replay); [`SnapshotError::Engine`]
     /// when the snapshot disagrees with the policy.
     pub fn restore(config: &PolicyConfig, bytes: &[u8]) -> Result<Secpert, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 1 || &bytes[..4] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::Corrupt("not a Secpert snapshot (bad magic)".into()));
-        }
-        if bytes[4] != SNAPSHOT_VERSION {
+        let version = codec::read_header(bytes, SNAPSHOT_MAGIC)
+            .map_err(|_| SnapshotError::Corrupt("not a Secpert snapshot (bad magic)".into()))?;
+        if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
-                bytes[4]
+                "snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
-        let mut r = ByteReader::new(&bytes[5..]);
-        let len = r.varint()? as usize;
-        let crc_stored =
-            u32::from_le_bytes(r.take(4)?.try_into().expect("take(4) yields exactly four bytes"));
-        let payload = r.take(len)?;
+        let mut r = Reader::new(&bytes[HEADER_LEN..]);
+        let mut payload = Reader::new(SNAPSHOT_FRAMING.read(&mut r)?);
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot frame",
-                r.remaining()
+                r.rest().len()
             )));
         }
-        if snapshot::crc32(payload) != crc_stored {
-            return Err(SnapshotError::Corrupt("frame checksum mismatch".into()));
-        }
-        let mut pr = ByteReader::new(payload);
-        let events_processed = pr.varint()?;
-        let engine_snap = EngineSnapshot::decode(pr.take(pr.remaining())?)?;
+        let events_processed = payload.varint()?;
+        let engine_snap = EngineSnapshot::decode(payload.rest())?;
         let mut expert = Secpert::new(config)?;
         expert.engine.restore(&engine_snap)?;
         expert.events_processed = events_processed;

@@ -1,5 +1,6 @@
 //! The shard→correlator digest protocol: [`SessionDigest`]s as a
-//! CRC-framed, interned binary stream.
+//! CRC-framed, interned binary stream, built from the shared codec
+//! ([`secpert_engine::codec`]).
 //!
 //! Digest streams share the event wire's magic (`HTHW`) but carry their
 //! own version byte ([`DIGEST_VERSION`], `0x44`, ASCII `D`) well clear
@@ -8,21 +9,18 @@
 //! importantly — can dispatch on [`read_header_any`] alone: low version
 //! bytes mean per-session events, `0x44` means fleet digests.
 //!
-//! Each digest is one frame, `[varint len][crc32][payload]`, the same
-//! framing discipline as journal v2, so torn tails and bit rot are
-//! detected per digest rather than poisoning the stream. String
-//! interning (labels, endpoints, paths, rule names repeat heavily
-//! across a fleet) spans frames exactly like the event codec's, so a
-//! stream must be decoded in order by a single [`DigestDecoder`].
-
-use std::collections::HashMap;
+//! Each digest is one CRC frame ([`Framing::CHECKED`]: `[varint len]
+//! [crc32][payload]`, capped at [`MAX_FRAME_LEN`](crate::MAX_FRAME_LEN)),
+//! the journal's framing, so torn tails and bit rot are detected per
+//! digest rather than poisoning the stream. String interning (labels,
+//! endpoints, paths, rule names repeat heavily across a fleet) spans
+//! frames exactly like the event codec's, so a stream must be decoded in
+//! order by a single [`DigestDecoder`].
 
 use hth_core::{DropIdentity, SessionDigest, Severity};
+use secpert_engine::codec::{put_varint, Framing, Interner, Reader, StringTable};
 
-use crate::wire::{
-    crc32, put_varint, read_header_any, write_header_versioned, Cursor, WireError, HEADER_LEN,
-    MAX_FRAME_LEN,
-};
+use crate::wire::{read_header_any, write_header_versioned, WireError, HEADER_LEN};
 
 /// Stream version byte marking a digest stream (vs. the 1/2 of raw
 /// event streams and 1–3 of journals).
@@ -32,7 +30,7 @@ pub const DIGEST_VERSION: u8 = 0x44;
 /// stream; decode in order with a single [`DigestDecoder`].
 #[derive(Debug, Default)]
 pub struct DigestEncoder {
-    strings: HashMap<String, u64>,
+    strings: Interner,
 }
 
 impl DigestEncoder {
@@ -43,48 +41,36 @@ impl DigestEncoder {
 
     /// Appends one digest as a framed record.
     pub fn encode(&mut self, digest: &SessionDigest, out: &mut Vec<u8>) {
+        let strings = &mut self.strings;
         let mut payload = Vec::with_capacity(64);
         put_varint(&mut payload, digest.session);
-        self.put_str(&mut payload, &digest.label);
+        strings.put(&mut payload, &digest.label);
         put_varint(&mut payload, digest.events);
         put_varint(&mut payload, digest.warnings.len() as u64);
         for ((severity, rule), count) in &digest.warnings {
             payload.push(severity.level() as u8);
-            self.put_str(&mut payload, rule);
+            strings.put(&mut payload, rule);
             put_varint(&mut payload, *count);
         }
         put_varint(&mut payload, digest.beacons.len() as u64);
         for endpoint in &digest.beacons {
-            self.put_str(&mut payload, endpoint);
+            strings.put(&mut payload, endpoint);
         }
         put_varint(&mut payload, digest.drops.len() as u64);
         for drop in &digest.drops {
-            self.put_str(&mut payload, &drop.path);
+            strings.put(&mut payload, &drop.path);
             payload.push(u8::from(drop.executable));
             put_varint(&mut payload, drop.content.len() as u64);
             for kind in &drop.content {
-                self.put_str(&mut payload, kind);
+                strings.put(&mut payload, kind);
             }
         }
         put_varint(&mut payload, digest.exfil.len() as u64);
         for (target, bytes) in &digest.exfil {
-            self.put_str(&mut payload, target);
+            strings.put(&mut payload, target);
             put_varint(&mut payload, *bytes);
         }
-        put_varint(out, payload.len() as u64);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-    }
-
-    fn put_str(&mut self, out: &mut Vec<u8>, s: &str) {
-        if let Some(idx) = self.strings.get(s) {
-            put_varint(out, idx + 1);
-            return;
-        }
-        put_varint(out, 0);
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-        self.strings.insert(s.to_string(), self.strings.len() as u64);
+        Framing::CHECKED.put(out, &payload);
     }
 }
 
@@ -92,7 +78,7 @@ impl DigestEncoder {
 /// string table.
 #[derive(Debug, Default)]
 pub struct DigestDecoder {
-    strings: Vec<String>,
+    strings: StringTable<String>,
 }
 
 impl DigestDecoder {
@@ -110,68 +96,46 @@ impl DigestDecoder {
     /// [`WireError::Crc`] mismatch). The string table may have grown by
     /// then; discard the decoder after an error.
     pub fn decode(&mut self, buf: &[u8]) -> Result<(SessionDigest, usize), WireError> {
-        let mut cur = Cursor { buf, pos: 0 };
-        let len = cur.varint()?;
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::FrameTooLarge(len));
-        }
-        let stored = u32::from_le_bytes(cur.take(4)?.try_into().expect("4 bytes"));
-        let payload_start = cur.pos;
-        let payload = cur.take(len as usize)?;
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(WireError::Crc { stored, computed });
-        }
-        let consumed = cur.pos;
-        let mut cur = Cursor { buf: &buf[payload_start..consumed], pos: 0 };
+        let mut frame = Reader::new(buf);
+        let mut cur = Reader::new(Framing::CHECKED.read(&mut frame)?);
+        let strings = &mut self.strings;
         let session = cur.varint()?;
-        let label = self.get_str(&mut cur)?;
-        let mut digest = SessionDigest::new(session, &label);
+        let label = strings.get(&mut cur)?;
+        let mut digest = SessionDigest::new(session, label);
         digest.events = cur.varint()?;
         for _ in 0..cur.varint()? {
             let level = cur.byte()?;
             let severity =
                 Severity::from_level(i64::from(level)).ok_or(WireError::BadSeverity(level))?;
-            let rule = self.get_str(&mut cur)?;
+            let rule = strings.get(&mut cur)?;
             let count = cur.varint()?;
             *digest.warnings.entry((severity, rule)).or_insert(0) += count;
         }
         for _ in 0..cur.varint()? {
-            let endpoint = self.get_str(&mut cur)?;
+            let endpoint = strings.get(&mut cur)?;
             digest.beacons.insert(endpoint);
         }
         for _ in 0..cur.varint()? {
-            let path = self.get_str(&mut cur)?;
+            let path = strings.get(&mut cur)?;
             let executable = cur.byte()? != 0;
             let n = cur.varint()? as usize;
             let mut content = Vec::with_capacity(n.min(16));
             for _ in 0..n {
-                content.push(self.get_str(&mut cur)?);
+                content.push(strings.get(&mut cur)?);
             }
             digest.drops.insert(DropIdentity { path, executable, content });
         }
         for _ in 0..cur.varint()? {
-            let target = self.get_str(&mut cur)?;
+            let target = strings.get(&mut cur)?;
             let bytes = cur.varint()?;
             *digest.exfil.entry(target).or_insert(0) += bytes;
         }
-        if cur.pos != cur.buf.len() {
+        if !cur.is_empty() {
             // A frame that passed its CRC but has trailing garbage was
             // produced by a different codec version; refuse it.
             return Err(WireError::Truncated);
         }
-        Ok((digest, consumed))
-    }
-
-    fn get_str(&mut self, cur: &mut Cursor<'_>) -> Result<String, WireError> {
-        let marker = cur.varint()?;
-        if marker == 0 {
-            let len = cur.varint()? as usize;
-            let text = std::str::from_utf8(cur.take(len)?).map_err(WireError::Utf8)?;
-            self.strings.push(text.to_string());
-            return Ok(text.to_string());
-        }
-        self.strings.get(marker as usize - 1).cloned().ok_or(WireError::BadStringRef(marker - 1))
+        Ok((digest, frame.pos()))
     }
 }
 

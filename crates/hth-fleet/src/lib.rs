@@ -11,6 +11,8 @@
 //!   with per-frame CRC32 (v2), segment rotation, and a recovery scan
 //!   that salvages every decodable frame from a corrupted file
 //!   ([`journal::replay`], [`journal::recover`]),
+//! * [`digest_wire`] — the CRC-framed [`hth_core::SessionDigest`]
+//!   stream shards send the fleet correlator,
 //! * [`batch`] — the reusable [`EventBatch`] buffer both the analyst
 //!   pool and the replay path move events in, so queue, span and sink
 //!   crossings are paid per batch instead of per event,
@@ -24,6 +26,10 @@
 //! * [`faults`] — deterministic seeded fault injection
 //!   ([`faults::FaultPlan`], `hth fleet --chaos-seed N`) so the whole
 //!   failure model above is reproducible and testable.
+//!
+//! The byte-level pieces the three stream modules share — varints,
+//! CRC32, interning, the header and the CRC frame, and [`WireError`] —
+//! live once in [`secpert_engine::codec`].
 
 #![warn(missing_docs)]
 
@@ -48,4 +54,4 @@ pub use journal::{
     JOURNAL_V1, JOURNAL_V2, JOURNAL_V3,
 };
 pub use pool::{AnalystPool, Backpressure, PoolConfig, PoolReport, SessionId, ShardStats};
-pub use wire::{crc32, EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};
+pub use wire::{EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};

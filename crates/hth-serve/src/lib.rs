@@ -45,11 +45,12 @@ pub use table::{SessionTable, TableConfig};
 pub enum ServeError {
     /// Socket-level failure.
     Io(std::io::Error),
-    /// Frame or event codec failure (torn frame, CRC mismatch, ...).
+    /// Frame or event codec failure (torn frame, CRC mismatch, oversized
+    /// or overflowing length, ...).
     Wire(hth_fleet::WireError),
     /// The policy engine rejected an event.
     Engine(secpert_engine::EngineError),
-    /// A protocol-level violation (bad tag, oversized frame, unknown
+    /// A protocol-level violation (bad tag, trailing bytes, unknown
     /// session, or a server-reported error).
     Protocol(String),
     /// The peer went away mid-conversation (including a fault-planted
@@ -79,7 +80,11 @@ impl From<std::io::Error> for ServeError {
 
 impl From<hth_fleet::WireError> for ServeError {
     fn from(e: hth_fleet::WireError) -> ServeError {
-        ServeError::Wire(e)
+        match e {
+            // The frame reader's socket failures stay socket failures.
+            hth_fleet::WireError::Io(e) => ServeError::Io(e),
+            e => ServeError::Wire(e),
+        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! is also how the server tells a protocol client from an HTTP scrape:
 //! the first bytes are either [`hth_fleet::wire::MAGIC`] or `GET `.
 //!
-//! After the preamble, both directions speak length-prefixed frames with
-//! the journal's integrity envelope:
+//! After the preamble, both directions speak the shared codec's CRC
+//! frame ([`Framing::CHECKED`], the journal's integrity envelope):
 //!
 //! ```text
 //! [varint payload_len] [crc32(payload) LE u32] [payload]
@@ -35,14 +35,18 @@
 //! Events inside Submit frames use the versioned fleet event codec with
 //! *per-connection* interning state ([`EventEncoder`]/[`EventDecoder`]),
 //! so a long-lived connection amortises string costs exactly like a
-//! journal does. Frames are hard-capped at [`MAX_FRAME_LEN`]; a frame
-//! that fails its CRC or arrives truncated poisons only the connection
-//! that sent it, never the sessions it was feeding.
+//! journal does. Frames are hard-capped at
+//! [`MAX_FRAME_LEN`](hth_fleet::MAX_FRAME_LEN); a frame that claims
+//! more, fails its CRC or arrives truncated poisons only the connection
+//! that sent it, never the sessions it was feeding. Payloads are read
+//! with the codec's bounds-checked [`Reader`], so a length claim inside
+//! one is truncation, never an overflow.
 
 use std::io::{Read, Write};
 
 use harrier::SecpertEvent;
-use hth_fleet::wire::{self, EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};
+use hth_fleet::wire::{EventDecoder, EventEncoder};
+use secpert_engine::codec::{put_varint, Framing, Reader};
 
 use crate::ServeError;
 
@@ -140,61 +144,17 @@ const TAG_STATS_ACK: u8 = 0x82;
 /// Wraps `payload` in the journal frame envelope.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 9);
-    wire::put_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(&wire::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    Framing::CHECKED.put(&mut out, payload);
     out
 }
 
 /// Reads one frame payload from `stream`. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary; mid-frame EOF, an oversized length or a CRC
-/// mismatch are errors (the caller drops the connection, losing only
-/// whatever was unacked on it).
+/// EOF at a frame boundary; mid-frame EOF, an overflowing or oversized
+/// length or a CRC mismatch are errors (the caller drops the connection,
+/// losing only whatever was unacked on it).
 pub fn read_frame(stream: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
-    // Varint length, byte at a time (we cannot over-read a stream).
-    let mut len: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match stream.read(&mut byte) {
-            Ok(0) if first => return Ok(None),
-            Ok(0) => return Err(ServeError::Wire(WireError::Truncated)),
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof && first => return Ok(None),
-            Err(e) => return Err(ServeError::Io(e)),
-        }
-        first = false;
-        if shift >= 64 {
-            return Err(ServeError::Wire(WireError::VarintOverflow));
-        }
-        len |= u64::from(byte[0] & 0x7f) << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(ServeError::Protocol(format!("frame of {len} bytes exceeds cap")));
-    }
-    let mut crc = [0u8; 4];
-    stream.read_exact(&mut crc).map_err(eof_as_truncated)?;
-    let stored = u32::from_le_bytes(crc);
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload).map_err(eof_as_truncated)?;
-    let computed = wire::crc32(&payload);
-    if stored != computed {
-        return Err(ServeError::Wire(WireError::Crc { stored, computed }));
-    }
-    Ok(Some(payload))
-}
-
-fn eof_as_truncated(e: std::io::Error) -> ServeError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        ServeError::Wire(WireError::Truncated)
-    } else {
-        ServeError::Io(e)
-    }
+    let mut payload = Vec::new();
+    Ok(Framing::CHECKED.read_from(stream, &mut payload)?.then_some(payload))
 }
 
 /// Encodes a request into a framed byte vector, ready to write.
@@ -203,25 +163,24 @@ pub fn encode_request(req: &Request, encoder: &mut EventEncoder) -> Vec<u8> {
     match req {
         Request::Open { session } => {
             payload.push(TAG_OPEN);
-            wire::put_varint(&mut payload, *session);
+            put_varint(&mut payload, *session);
         }
         Request::Submit { session, event } => {
             payload.push(TAG_SUBMIT);
-            wire::put_varint(&mut payload, *session);
+            put_varint(&mut payload, *session);
             encoder.encode(event, &mut payload);
         }
         Request::Flush => payload.push(TAG_FLUSH),
         Request::Close { session } => {
             payload.push(TAG_CLOSE);
-            wire::put_varint(&mut payload, *session);
+            put_varint(&mut payload, *session);
         }
         Request::Stats => payload.push(TAG_STATS),
         Request::Shutdown => payload.push(TAG_SHUTDOWN),
         Request::Label { session, label } => {
             payload.push(TAG_LABEL);
-            wire::put_varint(&mut payload, *session);
-            wire::put_varint(&mut payload, label.len() as u64);
-            payload.extend_from_slice(label.as_bytes());
+            put_varint(&mut payload, *session);
+            put_text(&mut payload, label);
         }
     }
     frame(&payload)
@@ -231,49 +190,46 @@ pub fn encode_request(req: &Request, encoder: &mut EventEncoder) -> Vec<u8> {
 pub fn decode_request(payload: &[u8], decoder: &mut EventDecoder) -> Result<Request, ServeError> {
     let (&tag, rest) =
         payload.split_first().ok_or_else(|| ServeError::Protocol("empty frame".into()))?;
+    let mut r = Reader::new(rest);
     let req = match tag {
-        TAG_OPEN => {
-            let (session, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Request::Open { session }
-        }
+        TAG_OPEN => Request::Open { session: r.varint()? },
         TAG_SUBMIT => {
-            let (session, n) = wire::read_varint(rest)?;
-            let (event, used) = decoder.decode(&rest[n..])?;
-            expect_consumed(rest, n + used)?;
+            let session = r.varint()?;
+            let (event, used) = decoder.decode(r.rest())?;
+            r.take(used as u64)?;
             Request::Submit { session, event }
         }
         TAG_FLUSH => Request::Flush,
-        TAG_CLOSE => {
-            let (session, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Request::Close { session }
-        }
+        TAG_CLOSE => Request::Close { session: r.varint()? },
         TAG_STATS => Request::Stats,
         TAG_SHUTDOWN => Request::Shutdown,
         TAG_LABEL => {
-            let (session, n) = wire::read_varint(rest)?;
-            let (len, m) = wire::read_varint(&rest[n..])?;
-            let start = n + m;
-            let bytes = rest
-                .get(start..start + len as usize)
-                .ok_or(ServeError::Wire(WireError::Truncated))?;
-            expect_consumed(rest, start + len as usize)?;
-            let label = std::str::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("label not UTF-8".into()))?
-                .to_string();
+            let session = r.varint()?;
+            let label = get_text(&mut r, "label not UTF-8")?;
             Request::Label { session, label }
         }
         other => return Err(ServeError::Protocol(format!("unknown request tag {other:#x}"))),
     };
-    if matches!(req, Request::Flush | Request::Stats | Request::Shutdown) && !rest.is_empty() {
-        return Err(ServeError::Protocol("trailing bytes in request".into()));
-    }
+    expect_consumed(&r)?;
     Ok(req)
 }
 
-fn expect_consumed(rest: &[u8], used: usize) -> Result<(), ServeError> {
-    if used == rest.len() {
+/// Appends `text` as a varint length and its UTF-8 bytes.
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    put_varint(out, text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Reads what [`put_text`] wrote.
+fn get_text(r: &mut Reader<'_>, not_utf8: &str) -> Result<String, ServeError> {
+    let len = r.varint()?;
+    let bytes = r.take(len)?;
+    let text = std::str::from_utf8(bytes).map_err(|_| ServeError::Protocol(not_utf8.into()))?;
+    Ok(text.to_string())
+}
+
+fn expect_consumed(r: &Reader<'_>) -> Result<(), ServeError> {
+    if r.is_empty() {
         Ok(())
     } else {
         Err(ServeError::Protocol("trailing bytes in request".into()))
@@ -286,17 +242,16 @@ pub fn encode_ack(ack: &Ack) -> Vec<u8> {
     match ack {
         Ack::Ok { value } => {
             payload.push(TAG_OK);
-            wire::put_varint(&mut payload, *value);
+            put_varint(&mut payload, *value);
         }
         Ack::Err { message } => {
             payload.push(TAG_ERR);
-            wire::put_varint(&mut payload, message.len() as u64);
-            payload.extend_from_slice(message.as_bytes());
+            put_text(&mut payload, message);
         }
         Ack::Stats(stats) => {
             payload.push(TAG_STATS_ACK);
             for v in stats.as_fields() {
-                wire::put_varint(&mut payload, v);
+                put_varint(&mut payload, v);
             }
         }
     }
@@ -307,35 +262,21 @@ pub fn encode_ack(ack: &Ack) -> Vec<u8> {
 pub fn decode_ack(payload: &[u8]) -> Result<Ack, ServeError> {
     let (&tag, rest) =
         payload.split_first().ok_or_else(|| ServeError::Protocol("empty ack".into()))?;
-    match tag {
-        TAG_OK => {
-            let (value, n) = wire::read_varint(rest)?;
-            expect_consumed(rest, n)?;
-            Ok(Ack::Ok { value })
-        }
-        TAG_ERR => {
-            let (len, n) = wire::read_varint(rest)?;
-            let bytes =
-                rest.get(n..n + len as usize).ok_or(ServeError::Wire(WireError::Truncated))?;
-            expect_consumed(rest, n + len as usize)?;
-            let message = std::str::from_utf8(bytes)
-                .map_err(|_| ServeError::Protocol("ack message not UTF-8".into()))?
-                .to_string();
-            Ok(Ack::Err { message })
-        }
+    let mut r = Reader::new(rest);
+    let ack = match tag {
+        TAG_OK => Ack::Ok { value: r.varint()? },
+        TAG_ERR => Ack::Err { message: get_text(&mut r, "ack message not UTF-8")? },
         TAG_STATS_ACK => {
             let mut fields = [0u64; ServeStats::FIELDS];
-            let mut off = 0;
             for f in fields.iter_mut() {
-                let (v, n) = wire::read_varint(&rest[off..])?;
-                *f = v;
-                off += n;
+                *f = r.varint()?;
             }
-            expect_consumed(rest, off)?;
-            Ok(Ack::Stats(ServeStats::from_fields(fields)))
+            Ack::Stats(ServeStats::from_fields(fields))
         }
-        other => Err(ServeError::Protocol(format!("unknown ack tag {other:#x}"))),
-    }
+        other => return Err(ServeError::Protocol(format!("unknown ack tag {other:#x}"))),
+    };
+    expect_consumed(&r)?;
+    Ok(ack)
 }
 
 /// Writes `bytes` fully to the stream (a thin helper so call sites stay
@@ -381,6 +322,8 @@ impl ServeStats {
 mod tests {
     use super::*;
     use harrier::{Origin, ResourceType, SourceInfo};
+    use hth_fleet::{WireError, MAX_FRAME_LEN};
+    use secpert_engine::codec::crc32;
 
     fn sample_event(i: u64) -> SecpertEvent {
         SecpertEvent::ResourceAccess {
@@ -415,6 +358,19 @@ mod tests {
         for req in &requests {
             stream.extend_from_slice(&encode_request(req, &mut enc));
         }
+        // The serve protocol's pinned byte format.
+        let pinned: &[u8] = &[
+            0x02, 0x04, 0x72, 0xcb, 0xc1, 0x01, 0x03, 0x21, 0xf6, 0xdb, 0xfb, 0xac, 0x02, 0x03,
+            0x00, 0x07, 0x00, 0x08, 0x53, 0x59, 0x53, 0x5f, 0x6f, 0x70, 0x65, 0x6e, 0x00, 0x00,
+            0x07, 0x2f, 0x74, 0x6d, 0x70, 0x2f, 0x66, 0x30, 0x00, 0x00, 0x01, 0x80, 0x20, 0x00,
+            0x00, 0x00, 0x00, 0x18, 0x9e, 0xcc, 0x2e, 0x9f, 0x02, 0x03, 0x00, 0x07, 0x01, 0x00,
+            0x00, 0x07, 0x2f, 0x74, 0x6d, 0x70, 0x2f, 0x66, 0x31, 0x00, 0x01, 0x01, 0x81, 0x20,
+            0x00, 0x00, 0x00, 0x00, 0x01, 0x37, 0xbe, 0x0b, 0x4b, 0x03, 0x09, 0x33, 0x8d, 0x07,
+            0x11, 0x07, 0x03, 0x06, 0x70, 0x77, 0x73, 0x61, 0x66, 0x65, 0x02, 0x41, 0x86, 0xbc,
+            0xbc, 0x04, 0x03, 0x01, 0x02, 0x1b, 0x68, 0xa2, 0x05, 0x01, 0xb8, 0x4a, 0x61, 0x3b,
+            0x06,
+        ];
+        assert_eq!(stream, pinned);
         let mut dec = EventDecoder::new();
         let mut cursor = std::io::Cursor::new(stream);
         let mut decoded = Vec::new();
@@ -437,13 +393,29 @@ mod tests {
             resident_bytes: 1 << 20,
             correlator_warnings: 2,
         };
-        for ack in [
-            Ack::Ok { value: 0 },
-            Ack::Ok { value: 42 },
-            Ack::Err { message: "session table is draining".into() },
-            Ack::Stats(stats),
-        ] {
+        // Each ack with its pinned frame.
+        let pinned: [(Ack, &[u8]); 4] = [
+            (Ack::Ok { value: 0 }, &[0x02, 0xb4, 0x8a, 0x5a, 0x7a, 0x80, 0x00]),
+            (Ack::Ok { value: 42 }, &[0x02, 0x62, 0x43, 0xe1, 0xa1, 0x80, 0x2a]),
+            (
+                Ack::Err { message: "session table is draining".into() },
+                &[
+                    0x1b, 0xff, 0x05, 0xc8, 0x91, 0x81, 0x19, 0x73, 0x65, 0x73, 0x73, 0x69, 0x6f,
+                    0x6e, 0x20, 0x74, 0x61, 0x62, 0x6c, 0x65, 0x20, 0x69, 0x73, 0x20, 0x64, 0x72,
+                    0x61, 0x69, 0x6e, 0x69, 0x6e, 0x67,
+                ],
+            ),
+            (
+                Ack::Stats(stats),
+                &[
+                    0x0c, 0xe4, 0xbd, 0x90, 0x50, 0x82, 0x02, 0x05, 0x64, 0x03, 0x04, 0x02, 0x01,
+                    0x80, 0x80, 0x40, 0x02,
+                ],
+            ),
+        ];
+        for (ack, bytes) in pinned {
             let framed = encode_ack(&ack);
+            assert_eq!(framed, bytes, "{ack:?}");
             let mut cursor = std::io::Cursor::new(framed);
             let payload = read_frame(&mut cursor).expect("frame").expect("payload");
             assert_eq!(decode_ack(&payload).expect("ack"), ack);
@@ -471,9 +443,36 @@ mod tests {
     #[test]
     fn oversized_frames_are_capped() {
         let mut framed = Vec::new();
-        wire::put_varint(&mut framed, MAX_FRAME_LEN + 1);
+        put_varint(&mut framed, MAX_FRAME_LEN + 1);
         framed.extend_from_slice(&[0u8; 4]);
         let err = read_frame(&mut std::io::Cursor::new(framed)).unwrap_err();
-        assert!(matches!(err, ServeError::Protocol(_)), "{err:?}");
+        assert!(matches!(err, ServeError::Wire(WireError::FrameTooLarge(_))), "{err:?}");
+    }
+
+    /// A length varint with bit 64 set overflows. Wrapped around, this
+    /// one would read as a valid one-byte Flush frame.
+    #[test]
+    fn overflowing_frame_lengths_are_rejected() {
+        let payload = [TAG_FLUSH];
+        let mut framed = vec![0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
+        framed.extend_from_slice(&payload);
+        let err = read_frame(&mut std::io::Cursor::new(framed)).unwrap_err();
+        assert!(matches!(err, ServeError::Wire(WireError::VarintOverflow)), "{err:?}");
+    }
+
+    /// A text length of `u64::MAX` inside a payload is truncation in
+    /// debug and release builds alike, never an index overflow.
+    #[test]
+    fn huge_text_lengths_are_truncation() {
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let mut label = vec![TAG_LABEL, 0x01];
+        label.extend_from_slice(&huge);
+        let err = decode_request(&label, &mut EventDecoder::new()).unwrap_err();
+        assert!(matches!(err, ServeError::Wire(WireError::Truncated)), "{err:?}");
+        let mut message = vec![TAG_ERR];
+        message.extend_from_slice(&huge);
+        let err = decode_ack(&message).unwrap_err();
+        assert!(matches!(err, ServeError::Wire(WireError::Truncated)), "{err:?}");
     }
 }

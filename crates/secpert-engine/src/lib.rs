@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod builtins;
+pub mod codec;
 pub mod correlate;
 mod engine;
 mod error;

@@ -24,14 +24,13 @@
 //! serialized: a snapshot is only meaningful against the same policy,
 //! and the restoring host is expected to load it first.
 //!
-//! The byte format is a single self-contained payload using the same
-//! primitives as the fleet wire codec (LEB128 varints, order-dependent
-//! string interning, IEEE CRC32 available to framing layers), but kept
-//! dependency-free so the engine crate stays at the bottom of the
-//! workspace graph.
+//! The byte format is one unframed payload built from [`crate::codec`]
+//! (LEB128 varints, order-dependent string interning); the host that
+//! persists it adds the header and the CRC frame.
 
 use std::sync::Arc;
 
+use crate::codec::{put_varint, Interner, Reader, StringTable, WireError};
 use crate::error::EngineError;
 use crate::fact::FactId;
 use crate::rete::MatchStats;
@@ -61,6 +60,12 @@ impl std::error::Error for SnapshotError {}
 impl From<EngineError> for SnapshotError {
     fn from(e: EngineError) -> SnapshotError {
         SnapshotError::Engine(e)
+    }
+}
+
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> SnapshotError {
+        SnapshotError::Corrupt(e.to_string())
     }
 }
 
@@ -103,8 +108,8 @@ const VALUE_FACT: u8 = 5;
 
 impl EngineSnapshot {
     /// Serializes the snapshot. The payload carries no framing; callers
-    /// that persist it should add a header and a [`crc32`] (the journal
-    /// framing shape) so torn writes are detectable.
+    /// that persist it should add a header and a CRC frame
+    /// ([`crate::codec::Framing`]) so torn writes are detectable.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         let mut strings = Interner::default();
@@ -142,8 +147,8 @@ impl EngineSnapshot {
     /// [`SnapshotError::Corrupt`] on truncation, trailing bytes, or
     /// malformed content.
     pub fn decode(bytes: &[u8]) -> std::result::Result<EngineSnapshot, SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let mut strings: Vec<Arc<str>> = Vec::new();
+        let mut r = Reader::new(bytes);
+        let mut strings = StringTable::default();
         let next_fact_id = r.varint()?;
         let activation_seq = r.varint()?;
         let fired_total = r.varint()?;
@@ -163,7 +168,7 @@ impl EngineSnapshot {
                 )));
             }
             prev_id = id;
-            let template = get_str(&mut r, &mut strings)?;
+            let template = strings.get(&mut r)?;
             let n_slots = r.varint()? as usize;
             let mut slots = Vec::with_capacity(n_slots.min(1 << 12));
             for _ in 0..n_slots {
@@ -174,7 +179,7 @@ impl EngineSnapshot {
         let n_refraction = r.varint()? as usize;
         let mut refraction = Vec::with_capacity(n_refraction.min(1 << 16));
         for _ in 0..n_refraction {
-            let rule = get_str(&mut r, &mut strings)?;
+            let rule = strings.get(&mut r)?;
             let tuple_len = r.varint()? as usize;
             let mut tuple = Vec::with_capacity(tuple_len.min(1 << 8));
             for _ in 0..tuple_len {
@@ -186,7 +191,7 @@ impl EngineSnapshot {
         if !r.is_empty() {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot",
-                r.remaining()
+                r.rest().len()
             )));
         }
         Ok(EngineSnapshot {
@@ -269,18 +274,14 @@ fn put_value(out: &mut Vec<u8>, strings: &mut Interner, value: &Value) {
 }
 
 fn get_value(
-    r: &mut ByteReader<'_>,
-    strings: &mut Vec<Arc<str>>,
+    r: &mut Reader<'_>,
+    strings: &mut StringTable<Arc<str>>,
 ) -> std::result::Result<Value, SnapshotError> {
     match r.byte()? {
-        VALUE_SYM => Ok(Value::Sym(get_str(r, strings)?)),
-        VALUE_STR => Ok(Value::Str(get_str(r, strings)?)),
+        VALUE_SYM => Ok(Value::Sym(strings.get(r)?)),
+        VALUE_STR => Ok(Value::Str(strings.get(r)?)),
         VALUE_INT => Ok(Value::Int(unzigzag(r.varint()?))),
-        VALUE_FLOAT => {
-            let bytes: [u8; 8] =
-                r.take(8)?.try_into().map_err(|_| SnapshotError::Corrupt("short float".into()))?;
-            Ok(Value::Float(f64::from_bits(u64::from_le_bytes(bytes))))
-        }
+        VALUE_FLOAT => Ok(Value::Float(f64::from_le_bytes(r.array()?))),
         VALUE_MULTI => {
             let len = r.varint()? as usize;
             let mut items = Vec::with_capacity(len.min(1 << 12));
@@ -300,161 +301,6 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Appends `v` as an LEB128 varint (the wire codec's integer shape).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Order-dependent string interning, mirroring the wire codec: a known
-/// string is its table index + 1; a new string is a `0` marker followed
-/// by its length and bytes, implicitly assigned the next index.
-#[derive(Default)]
-struct Interner {
-    known: std::collections::HashMap<Arc<str>, u64>,
-}
-
-impl Interner {
-    fn put(&mut self, out: &mut Vec<u8>, s: &Arc<str>) {
-        if let Some(&idx) = self.known.get(s) {
-            put_varint(out, idx + 1);
-            return;
-        }
-        put_varint(out, 0);
-        put_varint(out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-        let idx = self.known.len() as u64;
-        self.known.insert(s.clone(), idx);
-    }
-}
-
-fn get_str(
-    r: &mut ByteReader<'_>,
-    strings: &mut Vec<Arc<str>>,
-) -> std::result::Result<Arc<str>, SnapshotError> {
-    let marker = r.varint()?;
-    if marker == 0 {
-        let len = r.varint()? as usize;
-        let bytes = r.take(len)?;
-        let s: Arc<str> = std::str::from_utf8(bytes)
-            .map_err(|e| SnapshotError::Corrupt(format!("bad utf-8: {e}")))?
-            .into();
-        strings.push(s.clone());
-        return Ok(s);
-    }
-    strings
-        .get((marker - 1) as usize)
-        .cloned()
-        .ok_or_else(|| SnapshotError::Corrupt(format!("string ref {marker} out of range")))
-}
-
-/// A bounds-checked byte cursor over a snapshot payload.
-pub struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// A reader over `bytes`, positioned at the start.
-    pub fn new(bytes: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] at end of input.
-    pub fn byte(&mut self) -> std::result::Result<u8, SnapshotError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| SnapshotError::Corrupt("unexpected end of snapshot".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads `n` raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] when fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| SnapshotError::Corrupt("unexpected end of snapshot".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Reads an LEB128 varint.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] on truncation or overflow.
-    pub fn varint(&mut self) -> std::result::Result<u64, SnapshotError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(SnapshotError::Corrupt("varint overflow".into()));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    /// True when every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
-
-/// IEEE CRC32 (the journal framing checksum), recomputed here so the
-/// engine crate stays dependency-free. Byte-identical to the fleet wire
-/// codec's `crc32`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-                bit += 1;
-            }
-            table[i] = crc;
-            i += 1;
-        }
-        table
-    };
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
 }
 
 #[cfg(test)]
@@ -497,6 +343,24 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    /// The snapshot format's pinned bytes for the sample: every value
+    /// kind, the counters and the refraction tuples.
+    #[test]
+    fn encoding_is_pinned() {
+        let pinned: &[u8] = &[
+            0x2a, 0x63, 0x0c, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+            0x00, 0x02, 0x01, 0x00, 0x0c, 0x69, 0x6e, 0x69, 0x74, 0x69, 0x61, 0x6c, 0x2d, 0x66,
+            0x61, 0x63, 0x74, 0x00, 0x07, 0x00, 0x05, 0x65, 0x76, 0x65, 0x6e, 0x74, 0x06, 0x00,
+            0x00, 0x08, 0x53, 0x59, 0x53, 0x5f, 0x6f, 0x70, 0x65, 0x6e, 0x01, 0x00, 0x0b, 0x2f,
+            0x65, 0x74, 0x63, 0x2f, 0x70, 0x61, 0x73, 0x73, 0x77, 0x64, 0x02, 0x05, 0x03, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40, 0x04, 0x02, 0x00, 0x00, 0x04, 0x46, 0x49,
+            0x4c, 0x45, 0x02, 0x12, 0x05, 0x01, 0x02, 0x00, 0x06, 0x72, 0x75, 0x6c, 0x65, 0x2d,
+            0x61, 0x03, 0x02, 0x00, 0x08, 0x00, 0x06, 0x72, 0x75, 0x6c, 0x65, 0x2d, 0x62, 0x01,
+            0x08,
+        ];
+        assert_eq!(sample().encode(), pinned);
+    }
+
     #[test]
     fn truncation_is_detected_at_every_length() {
         let bytes = sample().encode();
@@ -527,11 +391,5 @@ mod tests {
         for v in [0i64, 1, -1, i64::MAX, i64::MIN, 1 << 40, -(1 << 40)] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // The standard IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }
