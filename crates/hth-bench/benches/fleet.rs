@@ -134,7 +134,9 @@ fn main() {
         );
         rows.push(m);
     }
+    let speedup_2 = rows[1].events_per_sec() / rows[0].events_per_sec();
     let speedup = rows[rows.len() - 1].events_per_sec() / rows[0].events_per_sec();
+    println!("fleet_throughput: 2-shard speedup over 1 shard: {speedup_2:.2}x");
     println!("fleet_throughput: 4-shard speedup over 1 shard: {speedup:.2}x");
     if cpus < SHARD_COUNTS[SHARD_COUNTS.len() - 1] {
         println!(
@@ -164,6 +166,7 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("speedup_2_shards_vs_1".into(), Json::Num(speedup_2)),
         ("speedup_4_shards_vs_1".into(), Json::Num(speedup)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");

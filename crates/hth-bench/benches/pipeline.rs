@@ -1,23 +1,16 @@
-//! Batched-pipeline bench: µs/event decomposed by stage, and the
-//! batched-vs-per-event shard throughput that justifies the batch path.
+//! Batched-pipeline bench: the batched-vs-per-event shard throughput
+//! that justifies the batch path, and the flight recorder's cost.
 //!
-//! The Table 8 exploit corpus is captured once (timing the monitor —
-//! emulation plus taint tracking — as the `taint` stage), encoded to an
-//! in-memory journal, and then each downstream stage is timed in
-//! isolation over many passes:
+//! The Table 8 exploit corpus is captured once and fanned into a fresh
+//! single-shard pool per run:
 //!
-//! * `decode`     — journal frames → [`EventBatch`] refills,
-//! * `taint`      — monitor-side event production (emulation + taint),
-//! * `fact_build` — [`Secpert::build_fact`]: event → engine fact,
-//!   through the expert's interning tables, no assertion,
-//! * `match`      — `process_batch` minus `fact_build`: alpha gate,
-//!   assert, Rete propagation, rule firings, provenance,
-//! * `dispatch`   — single-shard pool end-to-end minus `process_batch`:
-//!   queue, lock, condvar and sink crossings.
+//! * the default batch size versus `batch_size=1` (the pre-batching
+//!   per-event path, preserved verbatim); both runs must produce the
+//!   same warning count;
+//! * the flight recorder at its default capacity versus off, which
+//!   must cost at most 2%;
+//! * the batched rate over the pre-PR per-event baseline.
 //!
-//! The headline number is single-shard pool throughput at the default
-//! batch size versus `batch_size=1` (the pre-batching per-event path,
-//! preserved verbatim); both runs must produce the same warning count.
 //! Results go to `BENCH_pipeline.json` at the repo root.
 //!
 //! Run with `cargo bench -p hth-bench --bench pipeline`; `--test` runs
@@ -28,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use harrier::SecpertEvent;
 use hth_bench::json::Json;
-use hth_core::{PolicyConfig, Secpert, Session, SessionConfig};
-use hth_fleet::{AnalystPool, Backpressure, EventBatch, JournalReader, JournalWriter, PoolConfig};
+use hth_core::{PolicyConfig, Session, SessionConfig};
+use hth_fleet::{AnalystPool, Backpressure, PoolConfig};
 
 const DEFAULT_BATCH: usize = 64;
 
@@ -42,11 +35,9 @@ const DEFAULT_BATCH: usize = 64;
 const PRE_PR_US_PER_EVENT: f64 = 65.220;
 
 /// Runs the exploit corpus once with inline analysis off, collecting
-/// every event and timing the monitor-side production (the `taint`
-/// stage: emulation plus dataflow tracking).
-fn capture_corpus(scenario_cap: usize) -> (Vec<SecpertEvent>, Duration) {
+/// every event.
+fn capture_corpus(scenario_cap: usize) -> Vec<SecpertEvent> {
     let events = Arc::new(Mutex::new(Vec::new()));
-    let start = Instant::now();
     for scenario in hth_workloads::exploits::scenarios().into_iter().take(scenario_cap) {
         let config =
             SessionConfig { analyze_inline: false, record_events: false, ..Default::default() };
@@ -62,57 +53,10 @@ fn capture_corpus(scenario_cap: usize) -> (Vec<SecpertEvent>, Duration) {
         session.start(begin.path, &argv, &env).expect("spawns");
         session.run().expect("runs");
     }
-    let elapsed = start.elapsed();
-    let corpus = Arc::try_unwrap(events)
+    Arc::try_unwrap(events)
         .unwrap_or_else(|_| unreachable!("sessions dropped"))
         .into_inner()
-        .expect("corpus sink");
-    (corpus, elapsed)
-}
-
-/// Encodes the corpus into an in-memory journal.
-fn encode(corpus: &[SecpertEvent]) -> Vec<u8> {
-    let mut writer = JournalWriter::new(Vec::new()).expect("header");
-    for event in corpus {
-        writer.append(event).expect("append");
-    }
-    writer.finish().expect("finish")
-}
-
-/// Decodes the whole journal through a reusable [`EventBatch`],
-/// returning the event count and elapsed time for one pass.
-fn decode_pass(journal: &[u8], batch: &mut EventBatch) -> (u64, Duration) {
-    let start = Instant::now();
-    let mut reader = JournalReader::new(journal).expect("header");
-    let mut events = 0u64;
-    loop {
-        let n = batch.refill(&mut reader, DEFAULT_BATCH).expect("decode");
-        if n == 0 {
-            break;
-        }
-        events += n as u64;
-    }
-    (events, start.elapsed())
-}
-
-/// One pass of fact construction over the corpus (no assertion).
-fn fact_build_pass(secpert: &mut Secpert, corpus: &[SecpertEvent]) -> Duration {
-    let start = Instant::now();
-    for event in corpus {
-        let fact = secpert.build_fact(event).expect("fact");
-        std::hint::black_box(&fact);
-    }
-    start.elapsed()
-}
-
-/// One pass of full analysis (gate, fact, assert, match, provenance)
-/// over the corpus, fed `DEFAULT_BATCH` events at a time.
-fn analysis_pass(secpert: &mut Secpert, corpus: &[SecpertEvent]) -> Duration {
-    let start = Instant::now();
-    for run in corpus.chunks(DEFAULT_BATCH) {
-        secpert.process_batch(run).expect("analysis");
-    }
-    start.elapsed()
+        .expect("corpus sink")
 }
 
 /// Fans `replicate` copies of the corpus into a fresh single-shard
@@ -159,25 +103,11 @@ fn per_event_us(elapsed: Duration, events: u64) -> f64 {
     elapsed.as_secs_f64() * 1e6 / (events as f64).max(1.0)
 }
 
-/// Best (minimum) duration over `n` runs of a pass — the fastest run
-/// is the least-perturbed one.
-fn best_of(n: usize, mut pass: impl FnMut() -> Duration) -> Duration {
-    (0..n).map(|_| pass()).min().expect("at least one run")
-}
-
 fn main() {
     let test_mode = std::env::args().skip(1).any(|a| a == "--test");
     if test_mode {
-        let (corpus, _taint) = capture_corpus(2);
+        let corpus = capture_corpus(2);
         assert!(!corpus.is_empty(), "corpus capture produced no events");
-        let journal = encode(&corpus);
-        let mut batch = EventBatch::with_capacity(DEFAULT_BATCH);
-        let (decoded, _) = decode_pass(&journal, &mut batch);
-        assert_eq!(decoded, corpus.len() as u64, "decode must round-trip the corpus");
-        let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
-        fact_build_pass(&mut secpert, &corpus);
-        let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
-        analysis_pass(&mut secpert, &corpus);
         let shared = Arc::new(corpus);
         let flight_cap = PoolConfig::default().flight_capacity;
         let (batched_events, batched_warnings, _) =
@@ -202,46 +132,16 @@ fn main() {
             with_flight <= without_flight * 2,
             "flight recorder smoke gate: on {with_flight:?} vs off {without_flight:?}"
         );
-        println!("test pipeline_stages ... ok");
+        println!("test pipeline ... ok");
         return;
     }
 
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    let (corpus, taint_elapsed) = capture_corpus(usize::MAX);
+    let corpus = Arc::new(capture_corpus(usize::MAX));
     let events = corpus.len() as u64;
-    let journal = encode(&corpus);
-    println!(
-        "pipeline: corpus {} events ({} journal bytes), batch {}, {} cpus",
-        events,
-        journal.len(),
-        DEFAULT_BATCH,
-        cpus
-    );
+    println!("pipeline: corpus {events} events, batch {DEFAULT_BATCH}, {cpus} cpus");
 
-    // Stage: decode.
-    let mut batch = EventBatch::with_capacity(DEFAULT_BATCH);
-    let decode = best_of(5, || {
-        let (n, elapsed) = decode_pass(&journal, &mut batch);
-        assert_eq!(n, events);
-        elapsed
-    });
-
-    // Stage: fact_build. One warm-up pass populates the interning
-    // tables; timed passes see the steady state the shard loop sees.
-    let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
-    fact_build_pass(&mut secpert, &corpus);
-    let fact_build = best_of(5, || fact_build_pass(&mut secpert, &corpus));
-
-    // Stage: match (full analysis minus fact construction). The same
-    // engine absorbs every pass; the policy's cleanup rules retract
-    // event facts, so working memory stays bounded.
-    let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
-    analysis_pass(&mut secpert, &corpus);
-    let analysis = best_of(5, || analysis_pass(&mut secpert, &corpus));
-
-    // Stage: dispatch (pool end-to-end minus analysis), plus the
-    // headline batched-vs-serial throughput.
-    let corpus = Arc::new(corpus);
+    // The headline batched-vs-serial throughput.
     let replicate = 8;
     let flight_cap = PoolConfig::default().flight_capacity;
     let (batched_events, batched_warnings, batched_elapsed) = (0..3)
@@ -277,14 +177,8 @@ fn main() {
          (on {flight_on_us:.3} us/event vs off {flight_off_us:.3} us/event)"
     );
 
-    let taint_us = per_event_us(taint_elapsed, events);
-    let decode_us = per_event_us(decode, events);
-    let fact_build_us = per_event_us(fact_build, events);
-    let analysis_us = per_event_us(analysis, events);
-    let match_us = (analysis_us - fact_build_us).max(0.0);
     let batched_us = per_event_us(batched_elapsed, batched_events);
     let serial_us = per_event_us(serial_elapsed, serial_events);
-    let dispatch_us = (batched_us - analysis_us).max(0.0);
     let batched_eps = batched_events as f64 / batched_elapsed.as_secs_f64().max(1e-9);
     let serial_eps = serial_events as f64 / serial_elapsed.as_secs_f64().max(1e-9);
     let speedup = batched_eps / serial_eps.max(1e-9);
@@ -295,11 +189,6 @@ fn main() {
     let baseline_eps = 1e6 / baseline_us;
     let speedup_vs_pre_pr = batched_eps / baseline_eps.max(1e-9);
 
-    println!("pipeline/stage decode     {decode_us:>8.3} us/event");
-    println!("pipeline/stage taint      {taint_us:>8.3} us/event  (monitor-side production)");
-    println!("pipeline/stage fact_build {fact_build_us:>8.3} us/event");
-    println!("pipeline/stage match      {match_us:>8.3} us/event");
-    println!("pipeline/stage dispatch   {dispatch_us:>8.3} us/event  (batch {DEFAULT_BATCH})");
     println!(
         "pipeline/shard batch={DEFAULT_BATCH:<3} {batched_us:>8.3} us/event  ({batched_eps:>10.0} events/sec)"
     );
@@ -315,21 +204,10 @@ fn main() {
     );
 
     let json = Json::Obj(vec![
-        ("bench".into(), Json::Str("pipeline_stages".into())),
+        ("bench".into(), Json::Str("pipeline".into())),
         ("cpus".into(), Json::Num(cpus as f64)),
         ("corpus_events".into(), Json::Num(events as f64)),
-        ("journal_bytes".into(), Json::Num(journal.len() as f64)),
         ("batch_size".into(), Json::Num(DEFAULT_BATCH as f64)),
-        (
-            "stages_us_per_event".into(),
-            Json::Obj(vec![
-                ("decode".into(), Json::Num(decode_us)),
-                ("taint".into(), Json::Num(taint_us)),
-                ("fact_build".into(), Json::Num(fact_build_us)),
-                ("match".into(), Json::Num(match_us)),
-                ("dispatch".into(), Json::Num(dispatch_us)),
-            ]),
-        ),
         (
             "single_shard".into(),
             Json::Obj(vec![

@@ -5,14 +5,14 @@
 //! expert of one configuration compiles to the same network. So each
 //! distinct configuration is compiled once ([`compile_expert`],
 //! [`compile_fleet`]), a process-wide memo keyed by the configuration
-//! value keeps that pristine engine with its event gate, and every
-//! expert starts from a copy of it ([`CompiledPolicy::instantiate`]).
+//! value keeps that pristine engine, and every expert starts from a
+//! copy of it ([`CompiledPolicy::instantiate`]).
 //!
 //! **Isolation.** A copy shares only what no event changes: templates,
-//! rules, compiled match nodes, natives other than `warn`, globals and
-//! the event gate. Working memory, tokens and beta memories, agenda,
-//! refraction, firings, transcript, warning sink and value cache belong
-//! to the expert, and whatever an expert later changes on its own engine
+//! rules, compiled match nodes, natives other than `warn` and globals.
+//! Working memory, tokens and beta memories, agenda, refraction,
+//! firings, transcript, warning sink and value cache belong to the
+//! expert, and whatever an expert later changes on its own engine
 //! (`load_policy`, `register_fn`, `set_global`) changes its copy only,
 //! never the memo's.
 
@@ -22,9 +22,7 @@ use secpert_engine::{Engine, EngineError, CORRELATE_RULES, DIGEST_TEMPLATES};
 
 use crate::correlate::CorrelateConfig;
 use crate::policy::{PolicyConfig, POLICY_CLIPS};
-use crate::secpert::{
-    register_filters, register_severity_text, register_warn, EventGate, WarningSink,
-};
+use crate::secpert::{register_filters, register_severity_text, register_warn, WarningSink};
 
 /// Distinct configurations one memo keeps; past this the oldest goes,
 /// so a stream of one-off configurations cannot grow it without bound.
@@ -35,11 +33,9 @@ type Memo<K> = Mutex<Vec<(K, Arc<CompiledPolicy>)>>;
 static EXPERT_POLICIES: Memo<PolicyConfig> = Mutex::new(Vec::new());
 static FLEET_POLICIES: Memo<CorrelateConfig> = Mutex::new(Vec::new());
 
-/// One compiled policy: a reset engine no event has reached, and the
-/// event gate of its rule base (which only experts consult).
+/// One compiled policy: a reset engine no event has reached.
 pub(crate) struct CompiledPolicy {
     engine: Engine,
-    pub(crate) gate: Arc<EventGate>,
 }
 
 impl CompiledPolicy {
@@ -144,8 +140,7 @@ fn compile(
         engine.set_global(name, *value);
     }
     engine.reset()?;
-    let gate = Arc::new(EventGate::build(&engine));
-    Ok(CompiledPolicy { engine, gate })
+    Ok(CompiledPolicy { engine })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 use harrier::{Origin, SecpertEvent, SourceInfo};
 use secpert_engine::codec::{self, Framing, Reader, HEADER_LEN};
 use secpert_engine::snapshot::{EngineSnapshot, SnapshotError};
-use secpert_engine::{AlphaPrefilter, Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
+use secpert_engine::{Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
 
 use crate::compiled::CompiledPolicy;
 use crate::policy::PolicyConfig;
@@ -38,213 +38,7 @@ pub struct Secpert {
     engine: Engine,
     warnings: WarningSink,
     events_processed: u64,
-    gate: Arc<EventGate>,
     values: ValueCache,
-}
-
-/// What an event field means when the alpha pre-filter asks about a
-/// slot by index. Built once per template from the slot names, so the
-/// gate evaluates rule constants straight off the [`SecpertEvent`]
-/// without constructing the fact.
-#[derive(Clone, Copy, Debug)]
-enum SlotSem {
-    Pid,
-    Syscall,
-    ResourceName,
-    ResourceType,
-    TargetName,
-    TargetType,
-    ExecutableContent,
-    Time,
-    Frequency,
-    Address,
-    ProcCount,
-    ProcRate,
-    MemTotal,
-    ServerAddress,
-    /// Multislots and unrecognized slots: the gate cannot decide, so it
-    /// conservatively reports "could be equal" (never skips on these).
-    Opaque,
-}
-
-/// Per-template half of the event gate.
-#[derive(Debug)]
-struct TemplateGate {
-    /// Some CE accepts every fact of this template (the standard
-    /// policy's cleanup catch-alls) — admit without looking at slots.
-    always: bool,
-    /// No rule mentions the template — skip without looking at slots.
-    never: bool,
-    /// Slot index → event-field meaning.
-    sems: Vec<SlotSem>,
-    /// Value `server_address` takes when the event carries no server
-    /// context (the template default the fact would have been built
-    /// with).
-    server_default: Value,
-}
-
-/// The event-level alpha pre-filter: [`AlphaPrefilter`] plus the
-/// slot-index → event-field mapping for the two event templates.
-/// Snapshot of the rule base at `revision`; rebuilt when
-/// [`Engine::rules_revision`] moves (e.g. [`Secpert::load_policy`]).
-#[derive(Debug)]
-pub(crate) struct EventGate {
-    revision: u64,
-    filter: AlphaPrefilter,
-    access: TemplateGate,
-    transfer: TemplateGate,
-}
-
-impl EventGate {
-    pub(crate) fn build(engine: &Engine) -> EventGate {
-        let filter = engine.alpha_prefilter();
-        let gate_for = |name: &str| -> TemplateGate {
-            let (sems, server_default) = match engine.template(name) {
-                Some(t) => {
-                    let sems = t
-                        .slots()
-                        .iter()
-                        .map(|s| match s.name() {
-                            "pid" => SlotSem::Pid,
-                            "system_call_name" => SlotSem::Syscall,
-                            "resource_name" => SlotSem::ResourceName,
-                            "resource_type" => SlotSem::ResourceType,
-                            "target_name" => SlotSem::TargetName,
-                            "target_type" => SlotSem::TargetType,
-                            "executable_content" => SlotSem::ExecutableContent,
-                            "time" => SlotSem::Time,
-                            "frequency" => SlotSem::Frequency,
-                            "address" => SlotSem::Address,
-                            "proc_count" => SlotSem::ProcCount,
-                            "proc_rate" => SlotSem::ProcRate,
-                            "mem_total" => SlotSem::MemTotal,
-                            "server_address" => SlotSem::ServerAddress,
-                            _ => SlotSem::Opaque,
-                        })
-                        .collect();
-                    let server_default = t
-                        .slots()
-                        .iter()
-                        .find(|s| s.name() == "server_address")
-                        .map(|s| s.default().cloned().unwrap_or_else(|| s.implicit_default()))
-                        .unwrap_or_else(|| Value::sym("nil"));
-                    (sems, server_default)
-                }
-                None => (Vec::new(), Value::sym("nil")),
-            };
-            TemplateGate {
-                always: filter.always_passes(name),
-                never: filter.never_matches(name),
-                sems,
-                server_default,
-            }
-        };
-        let access = gate_for("system_call_access");
-        let transfer = gate_for("data_transfer");
-        EventGate { revision: engine.rules_revision(), filter, access, transfer }
-    }
-
-    /// Could this event's fact begin a match anywhere in the rule base?
-    /// Exactly [`AlphaPrefilter::can_match`] evaluated off the event.
-    fn admits(&self, event: &SecpertEvent) -> bool {
-        let (gate, template) = match event {
-            SecpertEvent::ResourceAccess { .. } => (&self.access, "system_call_access"),
-            SecpertEvent::DataTransfer { .. } => (&self.transfer, "data_transfer"),
-        };
-        if gate.always {
-            return true;
-        }
-        if gate.never {
-            return false;
-        }
-        self.filter.can_match(template, |slot, lit| {
-            let sem = gate.sems.get(slot).copied().unwrap_or(SlotSem::Opaque);
-            slot_admits(sem, &gate.server_default, event, lit)
-        })
-    }
-}
-
-/// Would the fact built from `event` carry `lit` in the slot meaning
-/// `sem`? Mirrors `event_to_fact` exactly; anything it cannot decide
-/// answers `true` (conservative: never skips what might match).
-fn slot_admits(sem: SlotSem, server_default: &Value, event: &SecpertEvent, lit: &Value) -> bool {
-    use SecpertEvent::{DataTransfer, ResourceAccess};
-
-    fn int_eq(lit: &Value, n: i64) -> bool {
-        matches!(lit, Value::Int(i) if *i == n)
-    }
-    fn str_eq(lit: &Value, s: &str) -> bool {
-        matches!(lit, Value::Str(v) if &**v == s)
-    }
-    /// `lit == Value::str(format!("{addr:x}"))` without rendering.
-    fn hex_eq(lit: &Value, addr: u32) -> bool {
-        let Value::Str(s) = lit else { return false };
-        let mut buf = [0u8; 8];
-        let mut i = buf.len();
-        let mut v = addr;
-        loop {
-            i -= 1;
-            buf[i] = char::from_digit(v % 16, 16).unwrap_or('0') as u8;
-            v /= 16;
-            if v == 0 {
-                break;
-            }
-        }
-        s.as_bytes() == &buf[i..]
-    }
-
-    let (pid, syscall, time, frequency, address, server) = match event {
-        ResourceAccess { pid, syscall, time, frequency, address, server, .. }
-        | DataTransfer { pid, syscall, time, frequency, address, server, .. } => {
-            (*pid, *syscall, *time, *frequency, *address, server)
-        }
-    };
-    match sem {
-        SlotSem::Pid => int_eq(lit, i64::from(pid)),
-        SlotSem::Syscall => lit.is_sym(syscall),
-        SlotSem::Time => int_eq(lit, time as i64),
-        SlotSem::Frequency => int_eq(lit, frequency as i64),
-        SlotSem::Address => hex_eq(lit, address),
-        SlotSem::ServerAddress => match server {
-            Some(s) => str_eq(lit, &s.address),
-            None => lit == server_default,
-        },
-        SlotSem::ResourceName => match event {
-            ResourceAccess { resource, .. } => str_eq(lit, &resource.name),
-            DataTransfer { .. } => true,
-        },
-        SlotSem::ResourceType => match event {
-            ResourceAccess { resource, .. } => lit.is_sym(resource.kind.symbol()),
-            DataTransfer { .. } => true,
-        },
-        SlotSem::ProcCount => match event {
-            ResourceAccess { proc_count, .. } => int_eq(lit, proc_count.unwrap_or(0) as i64),
-            DataTransfer { .. } => true,
-        },
-        SlotSem::ProcRate => match event {
-            ResourceAccess { proc_rate, .. } => int_eq(lit, proc_rate.unwrap_or(0) as i64),
-            DataTransfer { .. } => true,
-        },
-        SlotSem::MemTotal => match event {
-            ResourceAccess { mem_total, .. } => int_eq(lit, mem_total.unwrap_or(0) as i64),
-            DataTransfer { .. } => true,
-        },
-        SlotSem::TargetName => match event {
-            DataTransfer { target, .. } => str_eq(lit, &target.name),
-            ResourceAccess { .. } => true,
-        },
-        SlotSem::TargetType => match event {
-            DataTransfer { target, .. } => lit.is_sym(target.kind.symbol()),
-            ResourceAccess { .. } => true,
-        },
-        SlotSem::ExecutableContent => match event {
-            DataTransfer { executable_content, .. } => {
-                lit.is_sym(if *executable_content { "TRUE" } else { "FALSE" })
-            }
-            ResourceAccess { .. } => true,
-        },
-        SlotSem::Opaque => true,
-    }
 }
 
 /// Interned `Value`s reused across events. Event streams repeat the
@@ -334,7 +128,6 @@ impl Secpert {
             engine: compiled.instantiate(&warnings),
             warnings,
             events_processed: 0,
-            gate: Arc::clone(&compiled.gate),
             values: ValueCache::default(),
         }
     }
@@ -393,22 +186,11 @@ impl Secpert {
         Ok(self.drain_since(before))
     }
 
-    /// The shared per-event path: alpha-gate, fact, assert, run,
-    /// provenance. Both `process_event` and `process_batch` funnel
-    /// through here, so batching cannot change observable behavior.
+    /// The shared per-event path: fact, assert, run, provenance. Both
+    /// `process_event` and `process_batch` funnel through here, so
+    /// batching cannot change observable behavior.
     fn process_one(&mut self, event: &SecpertEvent) -> Result<(), EngineError> {
         self.events_processed += 1;
-        if self.gate.revision != self.engine.rules_revision() {
-            self.gate = Arc::new(EventGate::build(&self.engine));
-        }
-        // Events whose fact fails every rule's constant discriminators
-        // skip fact construction and assertion entirely: such a fact
-        // can neither fire nor block anything (see AlphaPrefilter).
-        // Under the standard policy the cleanup catch-alls admit every
-        // event; skips happen only with custom rule sets.
-        if !self.gate.admits(event) {
-            return Ok(());
-        }
         let warnings_before = self.warnings.lock().expect("warning sink poisoned").len();
         let firings_before = self.engine.firings().len();
         let fact = self.event_to_fact(event)?;
@@ -1159,127 +941,77 @@ mod tests {
         assert_eq!(per_event.warnings(), batched.warnings());
     }
 
-    /// The event-level gate must answer exactly what the fact-level
-    /// filter would: `admits(event) == passes_fact(event_to_fact(event))`
-    /// for a rule base constraining every event-representable slot.
+    /// Every expert starts from the standard policy, and the engine
+    /// refuses a second `defrule`/`deftemplate` of a taken name and
+    /// removes no rule. So no custom rule set can displace the cleanup
+    /// catch-alls or the event templates they match: every event fact
+    /// is built, matched and retracted.
     #[test]
-    fn gate_mirrors_fact_construction() {
-        let mut fact_builder = Secpert::new(&PolicyConfig::default()).unwrap();
-        let mut engine = Engine::new();
-        engine
-            .load_str(
-                r#"
-                (deftemplate system_call_access
-                  (slot pid) (slot system_call_name) (slot resource_name)
-                  (slot resource_type)
-                  (multislot resource_origin_name) (multislot resource_origin_type)
-                  (slot time (default 0)) (slot frequency (default 1))
-                  (slot address (default "0"))
-                  (slot proc_count (default 0)) (slot proc_rate (default 0))
-                  (slot mem_total (default 0))
-                  (slot server_address (default nil))
-                  (multislot server_origin_name) (multislot server_origin_type))
-                (deftemplate data_transfer
-                  (slot pid) (slot system_call_name)
-                  (multislot source_name) (multislot source_type)
-                  (multislot data_origin_name) (multislot data_origin_type)
-                  (slot target_name) (slot target_type)
-                  (multislot target_origin_name) (multislot target_origin_type)
-                  (slot time (default 0)) (slot frequency (default 1))
-                  (slot address (default "0"))
-                  (slot executable_content (default FALSE))
-                  (slot server_address (default nil))
-                  (multislot server_origin_name) (multislot server_origin_type))
-                (defrule r_syscall
-                  (system_call_access (system_call_name SYS_execve) (resource_type FILE))
-                  => (printout t crlf))
-                (defrule r_scalars
-                  (system_call_access (pid 1) (frequency 5) (time 10))
-                  => (printout t crlf))
-                (defrule r_name
-                  (system_call_access (resource_name "/bin/ls") (address "8048403"))
-                  => (printout t crlf))
-                (defrule r_transfer
-                  (data_transfer (target_type SOCKET) (executable_content TRUE))
-                  => (printout t crlf))
-                (defrule r_server
-                  (data_transfer (server_address nil) (target_name "h:3 (AF_INET)"))
-                  => (printout t crlf))
-                "#,
-            )
-            .unwrap();
-        let gate = EventGate::build(&engine);
-        assert!(!gate.access.always && !gate.transfer.always, "no catch-alls here");
-
-        let server = ServerInfo {
-            address: "LocalHost:11116 (AF_INET)".into(),
-            origin: Origin { sources: vec![SourceInfo::new(ResourceType::Binary, "pmad")] },
-        };
-        let mut events = vec![
-            access_event("SYS_execve", "/bin/ls", vec![(ResourceType::Binary, "/bin/x")]),
-            access_event("SYS_open", "/bin/ls", vec![(ResourceType::Binary, "/bin/x")]),
-            access_event("SYS_execve", "/other", vec![(ResourceType::Socket, "s:1")]),
-            transfer(
-                vec![(ResourceType::File, "/etc/passwd")],
-                vec![(ResourceType::Binary, "/bin/x")],
-                (ResourceType::Socket, "h:3 (AF_INET)"),
-                vec![(ResourceType::Binary, "/bin/x")],
-                None,
+    fn cleanup_rules_and_event_templates_cannot_be_redefined() {
+        let texts = [
+            (
+                "cleanup_data_transfer",
+                "(defrule cleanup_data_transfer (data_transfer (target_type SOCKET)) \
+                 => (printout t crlf))",
             ),
-            transfer(
-                vec![(ResourceType::File, "/etc/passwd")],
-                vec![],
-                (ResourceType::File, "h:3 (AF_INET)"),
-                vec![],
-                Some(server),
+            (
+                "cleanup_system_call_access",
+                "(defrule cleanup_system_call_access \
+                 (system_call_access (system_call_name SYS_open)) => (printout t crlf))",
             ),
-            transfer(vec![], vec![], (ResourceType::Console, "STDOUT"), vec![], None),
+            ("data_transfer", "(deftemplate data_transfer (slot pid))"),
+            ("system_call_access", "(deftemplate system_call_access (slot pid))"),
         ];
-        // Scalar variants: pid/time/frequency/address hits and misses.
-        if let SecpertEvent::ResourceAccess { time, .. } = &mut events[1] {
-            *time = 99;
-        }
-        let mut admitted = 0;
-        for event in &events {
-            let fact = fact_builder.event_to_fact(event).unwrap();
-            assert_eq!(
-                gate.admits(event),
-                gate.filter.passes_fact(&fact),
-                "gate and fact-level filter disagree on {event:?}"
+        for (name, text) in texts {
+            let config =
+                PolicyConfig { extra_rules: vec![text.to_string()], ..PolicyConfig::default() };
+            assert!(
+                matches!(Secpert::new(&config), Err(EngineError::Redefinition(n)) if n == name),
+                "extra_rules accepted {text}"
             );
-            admitted += usize::from(gate.admits(event));
+            let mut s = Secpert::new(&PolicyConfig::default()).unwrap();
+            assert!(
+                matches!(s.load_policy(text), Err(EngineError::Redefinition(n)) if n == name),
+                "load_policy accepted {text}"
+            );
         }
-        assert!(admitted > 0 && admitted < events.len(), "mix of passes and skips");
-    }
-
-    #[test]
-    fn skipped_events_still_count_and_produce_nothing() {
-        // A policy whose catch-alls are the only rules still admits
-        // everything; to exercise the skip path, drive the gate with a
-        // constrained engine via a custom Secpert rule base is not
-        // possible (the standard policy always loads). Instead, pin the
-        // admit decision itself: standard policy admits every event.
-        let mut s = Secpert::new(&PolicyConfig::default()).unwrap();
-        assert!(s.gate.access.always, "cleanup catch-alls make access always-pass");
-        assert!(s.gate.transfer.always, "cleanup catch-alls make transfer always-pass");
-        let event = access_event("SYS_open", "/tmp/x", vec![(ResourceType::Binary, "/bin/x")]);
-        s.process_event(&event).unwrap();
-        assert_eq!(s.events_processed(), 1);
     }
 
     #[test]
     fn working_memory_stays_clean() {
-        let mut s = Secpert::new(&PolicyConfig::default()).unwrap();
-        for i in 0..20 {
-            let _ = s
-                .process_event(&access_event(
-                    "SYS_open",
-                    &format!("/tmp/f{i}"),
-                    vec![(ResourceType::Binary, "/bin/x")],
-                ))
-                .unwrap();
+        let socket_rule = PolicyConfig {
+            extra_rules: vec!["(defrule on_socket_transfer \
+                 (data_transfer (target_type SOCKET)) => (printout t crlf))"
+                .to_string()],
+            ..PolicyConfig::default()
+        };
+        for config in [PolicyConfig::default(), socket_rule] {
+            let mut s = Secpert::new(&config).unwrap();
+            for i in 0..20 {
+                let _ = s
+                    .process_event(&access_event(
+                        "SYS_open",
+                        &format!("/tmp/f{i}"),
+                        vec![(ResourceType::Binary, "/bin/x")],
+                    ))
+                    .unwrap();
+                let target = if i % 2 == 0 {
+                    (ResourceType::Socket, "h:1 (AF_INET)")
+                } else {
+                    (ResourceType::File, "/tmp/out")
+                };
+                let _ = s
+                    .process_event(&transfer(
+                        vec![(ResourceType::File, "/etc/passwd")],
+                        vec![],
+                        target,
+                        vec![],
+                        None,
+                    ))
+                    .unwrap();
+            }
+            // Only initial-fact should remain after cleanup rules.
+            assert_eq!(s.engine_mut().fact_count(), 1);
         }
-        // Only initial-fact should remain after cleanup rules.
-        assert_eq!(s.engine_mut().fact_count(), 1);
     }
 }

@@ -25,7 +25,6 @@ use crate::expr::{eval, Bindings, Host};
 use crate::fact::{Fact, FactBuilder, FactId, WorkingMemory};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::pattern::CondElem;
-use crate::prefilter::AlphaPrefilter;
 use crate::rete::{MatchStats, ReteNetwork, UpdateOutcome};
 use crate::rule::Rule;
 use crate::snapshot::{EngineSnapshot, FactRecord};
@@ -210,9 +209,6 @@ pub struct Engine {
     /// the firing records; kept out of [`FiringRecord`] so the naive
     /// and Rete matchers stay byte-comparable.
     support_log: FxHashMap<usize, Vec<FactSupportRecord>>,
-    /// Bumped on every successful [`Engine::add_rule`], so callers
-    /// caching an [`AlphaPrefilter`] snapshot know when to rebuild.
-    rules_revision: u64,
 }
 
 impl Default for Engine {
@@ -255,7 +251,6 @@ impl Engine {
             rete: ReteNetwork::new(),
             capture_support: false,
             support_log: FxHashMap::default(),
-            rules_revision: 0,
         };
         // The engine's match paths only ever probe the slot-value index
         // on slots named by compiled rule nodes (registered per rule in
@@ -277,19 +272,6 @@ impl Engine {
     /// when the naive matcher is active.
     pub fn match_stats(&self) -> MatchStats {
         self.rete.stats
-    }
-
-    /// Monotonic counter bumped on every rule addition. Callers caching
-    /// an [`AlphaPrefilter`] compare revisions to know when to rebuild.
-    pub fn rules_revision(&self) -> u64 {
-        self.rules_revision
-    }
-
-    /// Builds an [`AlphaPrefilter`] snapshot of the current rule base's
-    /// constant discriminators (see that type for the soundness
-    /// contract). Stale once [`Engine::rules_revision`] moves.
-    pub fn alpha_prefilter(&self) -> AlphaPrefilter {
-        AlphaPrefilter::build(&self.rules, &self.templates)
     }
 
     // ----- construct registration -------------------------------------
@@ -351,7 +333,6 @@ impl Engine {
         let idx = self.rules.len();
         self.rules.push(Arc::new(rule));
         self.rule_names.insert(name, idx);
-        self.rules_revision += 1;
         // Register the slots this rule's compiled nodes will probe on the
         // working-memory index: the beta join key and the first constant
         // of each condition element (the two lookups `candidates` makes).

@@ -61,7 +61,6 @@ mod fact;
 pub mod fxhash;
 pub mod parser;
 mod pattern;
-mod prefilter;
 mod rete;
 mod rule;
 pub mod snapshot;
@@ -75,7 +74,6 @@ pub use explain::{FactSupportRecord, FiringRecord};
 pub use expr::{eval, Bindings, Expr, Host};
 pub use fact::{Fact, FactBuilder, FactId, WorkingMemory};
 pub use pattern::{Atom, CondElem, FieldConstraint, PatternCE, SlotPattern, Term};
-pub use prefilter::AlphaPrefilter;
 pub use rete::MatchStats;
 pub use rule::{Rule, RuleBuilder};
 pub use snapshot::{EngineSnapshot, FactRecord, SnapshotError};
