@@ -9,10 +9,10 @@
 //! hth audit <prog.s>      # Appendix B Secure Binary audit
 //! hth listing <prog.s>    # assemble and print the listing
 //! hth fleet [--sessions N] [--shards N] [--workers N] [--queue N]
-//!           [--batch-size N] [--drop-oldest] [--chaos-seed N]
-//!           [--correlate] [--gen2] [--digests OUT.hthd]
-//!           [--trust NAME]… [--trace OUT.json] [--metrics]
-//! hth replay <events.hthj> [--repair] [--batch-size N] [--trust NAME]…
+//!           [--drop-oldest] [--chaos-seed N] [--correlate] [--gen2]
+//!           [--digests OUT.hthd] [--trust NAME]… [--trace OUT.json]
+//!           [--metrics]
+//! hth replay <events.hthj> [--repair] [--trust NAME]…
 //! hth explain <events.hthj|digests.hthd> <warning-idx> [--trust NAME]…
 //! hth serve [--addr H:P] [--workers N] [--budget-mb N] [--idle-ms N]
 //!           [--trust NAME]… [--metrics]
@@ -59,9 +59,6 @@ pub enum Command {
         /// Salvage every decodable frame from a damaged journal instead
         /// of failing on the first corrupt byte.
         repair: bool,
-        /// Events fed to the engine per batch; 1 replays strictly
-        /// event-at-a-time (identical results either way).
-        batch_size: usize,
     },
     /// Run the long-lived fleet daemon: sessions over TCP, LRU + idle
     /// eviction under a memory budget, snapshot/restore, live
@@ -102,9 +99,6 @@ pub struct FleetOptions {
     pub workers: usize,
     /// Per-shard queue capacity.
     pub queue: usize,
-    /// Events an analyst drains from its queue per lock crossing; 1
-    /// disables batching (identical results either way).
-    pub batch_size: usize,
     /// Shed load (`DropOldest`) instead of blocking producers.
     pub drop_oldest: bool,
     /// Seed for deterministic fault injection (chaos testing); `None`
@@ -125,8 +119,8 @@ pub struct FleetOptions {
     pub trace: Option<String>,
     /// Print the unified Prometheus-style metrics snapshot.
     pub metrics: bool,
-    /// Write the shards' diagnostic bundles (quarantines, watchdog
-    /// overruns) here as a JSON array.
+    /// Write the shards' diagnostic bundles (one per quarantine) here
+    /// as a JSON array.
     pub bundles: Option<String>,
 }
 
@@ -137,7 +131,6 @@ impl Default for FleetOptions {
             shards: 4,
             workers: 4,
             queue: 1024,
-            batch_size: hth_fleet::PoolConfig::default().batch_size,
             drop_oldest: false,
             chaos_seed: None,
             correlate: false,
@@ -272,12 +265,10 @@ USAGE:
   hth audit <prog.s>           Secure Binary audit (Appendix B)
   hth listing <prog.s>         assemble and print the listing
   hth fleet [options]          run a workload fleet through the analyst pool
-  hth replay <events.hthj> [--repair] [--batch-size N] [--trust NAME]…
+  hth replay <events.hthj> [--repair] [--trust NAME]…
                                replay a recorded journal offline; --repair
                                salvages every decodable frame from a
-                               damaged journal and reports what was lost;
-                               --batch-size N feeds the engine N events
-                               per batch (same warnings at any size)
+                               damaged journal and reports what was lost
   hth explain <events.hthj|digests.hthd> <warning-idx>
                                replay a journal and print the causal tree
                                behind one warning (0-based replay order):
@@ -325,9 +316,6 @@ FLEET OPTIONS:
   --shards N         analyst pool shards (default 4)
   --workers N        session-runner threads (default 4)
   --queue N          per-shard queue capacity (default 1024)
-  --batch-size N     events an analyst drains per queue lock crossing
-                     (default 64); 1 disables batching — warnings and
-                     stats are identical at every size
   --drop-oldest      shed load instead of blocking when a queue fills
   --chaos-seed N     inject deterministic faults (shard panics, queue
                      stalls) derived from seed N; losses are counted,
@@ -349,8 +337,8 @@ FLEET OPTIONS:
   --metrics          print the unified metrics snapshot covering the
                      whole fleet in Prometheus text format
   --bundles OUT.json write the shards' diagnostic bundles (flight
-                     recorder snapshots captured on quarantines and
-                     watchdog overruns) as a JSON array
+                     recorder snapshots captured on quarantines) as a
+                     JSON array
 
 SERVE OPTIONS:
   --addr HOST:PORT   listen address (default 127.0.0.1:7177; port 0
@@ -439,24 +427,16 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "replay" => {
             let mut trust = Vec::new();
             let mut repair = false;
-            let mut batch_size = hth_fleet::PoolConfig::default().batch_size;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--trust" => trust.push(
                         it.next().cloned().ok_or_else(|| "--trust needs a value".to_string())?,
                     ),
                     "--repair" => repair = true,
-                    "--batch-size" => {
-                        let text = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| "--batch-size needs a value".to_string())?;
-                        batch_size = parse_count(&text, "--batch-size")?;
-                    }
                     other => return Err(format!("unknown flag `{other}`")),
                 }
             }
-            return Ok(Command::Replay { journal: source, trust, repair, batch_size });
+            return Ok(Command::Replay { journal: source, trust, repair });
         }
         "explain" => {
             let text = it.next().ok_or_else(|| "`explain` needs a warning index".to_string())?;
@@ -541,9 +521,6 @@ fn parse_fleet(mut it: std::slice::Iter<'_, String>) -> Result<Command, String> 
             "--shards" => opts.shards = parse_count(&value("--shards")?, "--shards")?,
             "--workers" => opts.workers = parse_count(&value("--workers")?, "--workers")?,
             "--queue" => opts.queue = parse_count(&value("--queue")?, "--queue")?,
-            "--batch-size" => {
-                opts.batch_size = parse_count(&value("--batch-size")?, "--batch-size")?;
-            }
             "--drop-oldest" => opts.drop_oldest = true,
             "--chaos-seed" => {
                 let text = value("--chaos-seed")?;
@@ -674,9 +651,7 @@ pub fn execute(command: Command) -> Result<String, String> {
         Command::Serve(opts) => serve(opts),
         Command::Load(opts) => load(opts),
         Command::Top(opts) => top(opts),
-        Command::Replay { journal, trust, repair, batch_size } => {
-            replay_journal(&journal, trust, repair, batch_size)
-        }
+        Command::Replay { journal, trust, repair } => replay_journal(&journal, trust, repair),
         Command::Explain { journal, index, trust } => explain(&journal, index, trust),
     }
 }
@@ -873,7 +848,6 @@ fn fleet(opts: FleetOptions) -> Result<String, String> {
     let mut config = FleetConfig::default();
     config.pool.shards = opts.shards;
     config.pool.queue_capacity = opts.queue;
-    config.pool.batch_size = opts.batch_size;
     config.pool.backpressure =
         if opts.drop_oldest { Backpressure::DropOldest } else { Backpressure::Block };
     config.workers = opts.workers;
@@ -981,19 +955,14 @@ fn explain(journal: &str, index: usize, trust: Vec<String>) -> Result<String, St
 /// journal is salvaged frame by frame instead of aborting: every
 /// decodable prefix is replayed and the recovery report says exactly
 /// what was dropped.
-fn replay_journal(
-    journal: &str,
-    trust: Vec<String>,
-    repair: bool,
-    batch_size: usize,
-) -> Result<String, String> {
+fn replay_journal(journal: &str, trust: Vec<String>, repair: bool) -> Result<String, String> {
     let mut policy = PolicyConfig::default();
     policy.trusted_binaries.extend(trust);
     let mut secpert = Secpert::new(&policy).map_err(|e| e.to_string())?;
     let (warnings, recovery) = if repair {
         let bytes =
             std::fs::read(journal).map_err(|e| format!("cannot read journal `{journal}`: {e}"))?;
-        let (warnings, report) = hth_fleet::replay_repair_batched(&bytes, &mut secpert, batch_size)
+        let (warnings, report) = hth_fleet::replay_repair(&bytes, &mut secpert)
             .map_err(|e| format!("`{journal}`: {e}"))?;
         (warnings, Some(report))
     } else {
@@ -1001,8 +970,8 @@ fn replay_journal(
             .map_err(|e| format!("cannot read journal `{journal}`: {e}"))?;
         let reader = JournalReader::new(std::io::BufReader::new(file))
             .map_err(|e| format!("`{journal}`: {e}"))?;
-        let warnings = hth_fleet::replay_batched(reader, &mut secpert, batch_size)
-            .map_err(|e| format!("`{journal}`: {e}"))?;
+        let warnings =
+            hth_fleet::replay(reader, &mut secpert).map_err(|e| format!("`{journal}`: {e}"))?;
         (warnings, None)
     };
     let mut out = String::new();
@@ -1229,8 +1198,6 @@ mod tests {
             "3",
             "--queue",
             "64",
-            "--batch-size",
-            "16",
             "--drop-oldest",
             "--trust",
             "libfoo.so",
@@ -1241,14 +1208,10 @@ mod tests {
         assert_eq!(opts.shards, 2);
         assert_eq!(opts.workers, 3);
         assert_eq!(opts.queue, 64);
-        assert_eq!(opts.batch_size, 16);
         assert!(opts.drop_oldest);
         assert_eq!(opts.trust, vec!["libfoo.so"]);
-        assert_eq!(FleetOptions::default().batch_size, 64);
         assert!(parse(&strs(&["fleet", "--shards", "0"])).is_err());
         assert!(parse(&strs(&["fleet", "--sessions"])).is_err());
-        assert!(parse(&strs(&["fleet", "--batch-size", "0"])).is_err());
-        assert!(parse(&strs(&["fleet", "--batch-size"])).is_err());
         assert!(parse(&strs(&["fleet", "--nope"])).is_err());
     }
 
@@ -1280,21 +1243,14 @@ mod tests {
                 journal: "events.hthj".to_string(),
                 trust: vec!["make".to_string()],
                 repair: false,
-                batch_size: 64,
             }
         );
         assert_eq!(
-            parse(&strs(&["replay", "events.hthj", "--repair", "--batch-size", "7"])).unwrap(),
-            Command::Replay {
-                journal: "events.hthj".to_string(),
-                trust: vec![],
-                repair: true,
-                batch_size: 7,
-            }
+            parse(&strs(&["replay", "events.hthj", "--repair"])).unwrap(),
+            Command::Replay { journal: "events.hthj".to_string(), trust: vec![], repair: true }
         );
         assert!(parse(&strs(&["replay"])).is_err());
-        assert!(parse(&strs(&["replay", "events.hthj", "--batch-size", "0"])).is_err());
-        assert!(parse(&strs(&["replay", "events.hthj", "--batch-size"])).is_err());
+        assert!(parse(&strs(&["replay", "events.hthj", "--batch-size", "7"])).is_err());
         assert!(parse(&strs(&["replay", "events.hthj", "--nope"])).is_err());
     }
 
@@ -1478,7 +1434,6 @@ mod tests {
             journal: journal.to_string_lossy().into_owned(),
             trust: Vec::new(),
             repair: false,
-            batch_size: 64,
         })
         .unwrap();
         assert!(replay_out.contains("[LOW]"), "{replay_out}");
@@ -1490,7 +1445,6 @@ mod tests {
             journal: journal.to_string_lossy().into_owned(),
             trust: Vec::new(),
             repair: true,
-            batch_size: 1,
         })
         .unwrap();
         assert!(repair_out.contains("replay: 1 warnings"), "{repair_out}");
@@ -1519,16 +1473,11 @@ mod tests {
         std::fs::write(&journal, &bytes[..bytes.len() - 3]).unwrap();
 
         let path = journal.to_string_lossy().into_owned();
-        let strict = execute(Command::Replay {
-            journal: path.clone(),
-            trust: vec![],
-            repair: false,
-            batch_size: 64,
-        });
+        let strict =
+            execute(Command::Replay { journal: path.clone(), trust: vec![], repair: false });
         assert!(strict.is_err(), "strict replay must fail on a torn journal");
         let repaired =
-            execute(Command::Replay { journal: path, trust: vec![], repair: true, batch_size: 64 })
-                .unwrap();
+            execute(Command::Replay { journal: path, trust: vec![], repair: true }).unwrap();
         assert!(repaired.contains("torn tail"), "{repaired}");
         assert!(repaired.contains("replay:"), "{repaired}");
     }
@@ -1566,32 +1515,6 @@ mod tests {
         assert!(out.contains("check_proc_introspection"), "{out}");
         assert!(out.contains("check_process_kill"), "{out}");
         assert!(!out.contains("check_backdoor_server"), "{out}");
-    }
-
-    /// Batched and per-event analyst loops must report the same fleet:
-    /// same rendered warning lines (the report sorts them), same
-    /// per-severity counts.
-    #[test]
-    fn fleet_batch_sizes_agree_end_to_end() {
-        let run = |batch_size: usize| {
-            execute(Command::Fleet(FleetOptions {
-                sessions: 4,
-                shards: 2,
-                workers: 2,
-                batch_size,
-                ..FleetOptions::default()
-            }))
-            .unwrap()
-        };
-        let batched = run(64);
-        let serial = run(1);
-        let warning_lines = |out: &str| {
-            out.lines()
-                .filter(|l| l.contains("[HIGH]") || l.contains("[MEDIUM]") || l.contains("[LOW]"))
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(warning_lines(&batched), warning_lines(&serial), "{batched}\n---\n{serial}");
     }
 
     #[test]

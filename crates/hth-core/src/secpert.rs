@@ -298,19 +298,6 @@ impl Secpert {
         snapshot.iter().map(|w| (**w).clone()).collect()
     }
 
-    /// Number of warnings in the sink so far. With
-    /// [`Secpert::warnings_since`], lets a supervisor recover the
-    /// warnings of the completed prefix of a batch that panicked or
-    /// errored partway through.
-    pub fn warnings_count(&self) -> usize {
-        self.warnings.lock().expect("warning sink poisoned").len()
-    }
-
-    /// The warnings issued since the sink held `start` entries.
-    pub fn warnings_since(&self, start: usize) -> Vec<Warning> {
-        self.drain_since(start)
-    }
-
     /// Match-network counters for this expert's engine (all-zero when
     /// the engine was built with the naive matcher).
     pub fn match_stats(&self) -> MatchStats {

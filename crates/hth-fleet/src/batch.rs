@@ -1,14 +1,12 @@
-//! A reusable event batch buffer: the unit of work of the batched hot
-//! path.
+//! A reusable event batch buffer for callers that move runs of decoded
+//! events.
 //!
-//! Both sides of the event protocol move events in batches to amortize
-//! their per-event crossings — the analyst pool drains its shard queue
-//! into one ([`crate::pool::PoolConfig::batch_size`] events per lock
-//! crossing), and the replay path decodes journal frames into one
-//! before feeding the engine ([`crate::journal::replay_batched`]). The
-//! buffer itself is allocated once and refilled: `clear` keeps the
-//! spine's capacity, so steady-state batch turnover costs no
-//! allocations beyond the events' own payloads.
+//! [`EventBatch::refill`] decodes up to `max` journal frames into the
+//! buffer; the run then goes to [`crate::pool::AnalystPool::submit_batch`]
+//! (one queue-lock crossing for the run) or to
+//! [`hth_core::Secpert::process_batch`]. The buffer is allocated once
+//! and refilled: `clear` keeps the spine's capacity, so steady-state
+//! turnover costs no allocations beyond the events' own payloads.
 
 use std::io::Read;
 

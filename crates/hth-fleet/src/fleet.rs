@@ -5,6 +5,7 @@
 //! This is the ROADMAP's production shape in miniature: monitoring
 //! (sessions stepping VMs) and analysis (Secpert shards) are decoupled
 //! by the event protocol, each side scaled by its own thread count.
+//! Each session's tap submits its events one at a time, in order.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -92,8 +93,8 @@ pub struct FleetReport {
     /// The fleet correlator's verdict, when
     /// [`FleetConfig::correlate`] was set.
     pub correlation: Option<CorrelationReport>,
-    /// Diagnostic bundles the shards' flight recorders captured
-    /// (quarantines, watchdog overruns), shard order.
+    /// Diagnostic bundles the shards' flight recorders captured (one
+    /// per quarantine), shard order.
     pub bundles: Vec<std::sync::Arc<hth_trace::DiagnosticBundle>>,
 }
 
@@ -235,11 +236,10 @@ pub fn run_scenarios(
         let mut session_config = config.session.clone();
         session_config.analyze_inline = false;
         session_config.record_events = false;
-        let batch_size = config.pool.batch_size;
         runners.push(std::thread::spawn(move || loop {
             let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
             let Some((sid, scenario)) = job else { return };
-            match run_one(sid, &scenario, session_config.clone(), &pool, batch_size) {
+            match run_one(sid, &scenario, session_config.clone(), &pool) {
                 Ok(stats) => taint.lock().unwrap_or_else(PoisonError::into_inner).merge(&stats),
                 Err(e) => errors
                     .lock()
@@ -305,48 +305,25 @@ pub fn run_scenarios(
 }
 
 /// Runs one scenario session with its event stream tapped into the
-/// pool; hands back the monitor's taint-store counters (the session is
-/// dropped here, so this is their last chance to reach the report).
-///
-/// With `batch_size > 1` the tap buffers events and flushes them to the
-/// pool through [`AnalystPool::submit_batch`] — one queue-lock crossing
-/// per batch instead of per event — with a final flush after the
-/// session ends. Order within the session is preserved, so analysis
-/// results are identical to the per-event tap.
+/// pool, one [`AnalystPool::submit`] per event; hands back the
+/// monitor's taint-store counters (the session is dropped here, so
+/// this is their last chance to reach the report).
 fn run_one(
     sid: SessionId,
     scenario: &Scenario,
     config: SessionConfig,
     pool: &Arc<AnalystPool>,
-    batch_size: usize,
 ) -> Result<TaintStats, hth_core::SessionError> {
     pool.set_label(sid, scenario.id);
     let mut session = hth_core::Session::new(config)?;
     let start = (scenario.setup)(&mut session);
     let tap_pool = Arc::clone(pool);
-    let buffer: Arc<Mutex<Vec<harrier::SecpertEvent>>> =
-        Arc::new(Mutex::new(Vec::with_capacity(batch_size.max(1))));
-    if batch_size <= 1 {
-        session.set_event_tap(Box::new(move |event| tap_pool.submit(sid, event.clone())));
-    } else {
-        let tap_buffer = Arc::clone(&buffer);
-        session.set_event_tap(Box::new(move |event| {
-            let mut buf = tap_buffer.lock().unwrap_or_else(PoisonError::into_inner);
-            buf.push(event.clone());
-            if buf.len() >= batch_size {
-                tap_pool.submit_batch(sid, &mut buf);
-            }
-        }));
-    }
+    session.set_event_tap(Box::new(move |event| tap_pool.submit(sid, event.clone())));
     let argv: Vec<&str> = start.argv.iter().map(String::as_str).collect();
     let env: Vec<(&str, &str)> = start.env.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
     session.start(start.path, &argv, &env)?;
     session.run()?;
-    let stats = session.taint_stats();
-    drop(session);
-    let mut buf = buffer.lock().unwrap_or_else(PoisonError::into_inner);
-    pool.submit_batch(sid, &mut buf);
-    Ok(stats)
+    Ok(session.taint_stats())
 }
 
 #[cfg(test)]

@@ -461,31 +461,6 @@ pub fn replay<R: Read>(
     Ok(warnings)
 }
 
-/// [`replay`], but decoding up to `batch_size` frames into a reusable
-/// [`EventBatch`](crate::EventBatch) and feeding the engine one batch
-/// at a time. Results are byte-identical to [`replay`] at every batch
-/// size (the engine's batch path funnels through the per-event path);
-/// `batch_size <= 1` *is* [`replay`].
-///
-/// # Errors
-///
-/// [`ReplayError`] on journal corruption or policy failures.
-pub fn replay_batched<R: Read>(
-    mut reader: JournalReader<R>,
-    secpert: &mut Secpert,
-    batch_size: usize,
-) -> Result<Vec<Warning>, ReplayError> {
-    if batch_size <= 1 {
-        return replay(reader, secpert);
-    }
-    let mut warnings = Vec::new();
-    let mut batch = crate::batch::EventBatch::with_capacity(batch_size);
-    while batch.refill(&mut reader, batch_size)? > 0 {
-        warnings.extend(secpert.process_batch(batch.as_slice())?);
-    }
-    Ok(warnings)
-}
-
 /// Replays whatever [`recover`] salvaged from a (possibly corrupt)
 /// journal, returning the warnings plus the recovery report. The
 /// journal itself can never make this fail — only the policy can.
@@ -497,30 +472,10 @@ pub fn replay_repair(
     buf: &[u8],
     secpert: &mut Secpert,
 ) -> Result<(Vec<Warning>, RecoveryReport), ReplayError> {
-    replay_repair_batched(buf, secpert, 1)
-}
-
-/// [`replay_repair`], feeding the salvaged events to the engine
-/// `batch_size` at a time. Identical results at every batch size.
-///
-/// # Errors
-///
-/// [`ReplayError::Policy`] if the engine fails on a salvaged event.
-pub fn replay_repair_batched(
-    buf: &[u8],
-    secpert: &mut Secpert,
-    batch_size: usize,
-) -> Result<(Vec<Warning>, RecoveryReport), ReplayError> {
     let (events, report) = recover(buf);
     let mut warnings = Vec::new();
-    if batch_size <= 1 {
-        for event in &events {
-            warnings.extend(secpert.process_event(event)?);
-        }
-    } else {
-        for run in events.chunks(batch_size) {
-            warnings.extend(secpert.process_batch(run)?);
-        }
+    for event in &events {
+        warnings.extend(secpert.process_event(event)?);
     }
     Ok((warnings, report))
 }
@@ -651,27 +606,11 @@ impl SegmentedJournalWriter {
 ///
 /// [`ReplayError`] on missing segments, corruption, or policy failures.
 pub fn replay_segments(base: &Path, secpert: &mut Secpert) -> Result<Vec<Warning>, ReplayError> {
-    replay_segments_batched(base, secpert, 1)
-}
-
-/// [`replay_segments`] with the batched decode path: each segment is
-/// replayed through [`replay_batched`], so a batch never spans a
-/// segment boundary (segments have independent interning tables).
-/// Byte-identical to [`replay_segments`] at every batch size.
-///
-/// # Errors
-///
-/// [`ReplayError`] on missing segments, corruption, or policy failures.
-pub fn replay_segments_batched(
-    base: &Path,
-    secpert: &mut Secpert,
-    batch_size: usize,
-) -> Result<Vec<Warning>, ReplayError> {
     let mut warnings = Vec::new();
     for path in segment_paths(base) {
         let file = std::fs::File::open(&path).map_err(WireError::Io)?;
         let reader = JournalReader::new(std::io::BufReader::new(file))?;
-        warnings.extend(replay_batched(reader, secpert, batch_size)?);
+        warnings.extend(replay(reader, secpert)?);
     }
     Ok(warnings)
 }

@@ -13,13 +13,14 @@
 //!   ([`journal::replay`], [`journal::recover`]),
 //! * [`digest_wire`] — the CRC-framed [`hth_core::SessionDigest`]
 //!   stream shards send the fleet correlator,
-//! * [`batch`] — the reusable [`EventBatch`] buffer both the analyst
-//!   pool and the replay path move events in, so queue, span and sink
-//!   crossings are paid per batch instead of per event,
+//! * [`batch`] — [`EventBatch`], a reusable buffer that decodes a run
+//!   of journal frames for [`pool::AnalystPool::submit_batch`] or
+//!   [`hth_core::Secpert::process_batch`],
 //! * [`pool`] — a sharded, *supervised* analyst pool: worker threads
-//!   with private [`hth_core::Secpert`] engines, sessions hashed to
-//!   shards, bounded queues with explicit [`pool::Backpressure`], panics
-//!   quarantined and engines respawned under a retry budget,
+//!   with private [`hth_core::Secpert`] engines fed one event per
+//!   call, sessions hashed to shards, bounded queues with explicit
+//!   [`pool::Backpressure`], panics quarantined and engines respawned
+//!   under a retry budget,
 //! * [`fleet`] — an orchestrator running many workload sessions across
 //!   threads, fanning events into the pool and aggregating a
 //!   [`fleet::FleetReport`],
@@ -48,10 +49,9 @@ pub use digest_wire::{
 pub use faults::{ConnectionFault, FaultPlan, JournalFault};
 pub use fleet::{run_scenarios, warning_multiset, FleetConfig, FleetReport, WarningKey};
 pub use journal::{
-    recover, recover_segments, replay, replay_batched, replay_repair, replay_repair_batched,
-    replay_segments, replay_segments_batched, segment_path, segment_paths, JournalReader,
-    JournalWriter, RecoveryOutcome, RecoveryReport, ReplayError, SegmentedJournalWriter,
-    JOURNAL_V1, JOURNAL_V2, JOURNAL_V3,
+    recover, recover_segments, replay, replay_repair, replay_segments, segment_path, segment_paths,
+    JournalReader, JournalWriter, RecoveryOutcome, RecoveryReport, ReplayError,
+    SegmentedJournalWriter, JOURNAL_V1, JOURNAL_V2, JOURNAL_V3,
 };
 pub use pool::{AnalystPool, Backpressure, PoolConfig, PoolReport, SessionId, ShardStats};
 pub use wire::{EventDecoder, EventEncoder, WireError, MAX_FRAME_LEN};

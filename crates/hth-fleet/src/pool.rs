@@ -16,6 +16,12 @@
 //!   and counted (lossy, bounded latency; drop counters surface in
 //!   [`ShardStats`]).
 //!
+//! Each analyst takes every queued event per lock crossing and hands
+//! its engine one event per [`Secpert::process_event`] call, the way
+//! paper §6.1.2 has Harrier hand Secpert one event at a time; the
+//! queue bound is the only cap on a run. This module is the only code
+//! that knows how a shard feeds its engine.
+//!
 //! Supervision: a panic inside the engine (or injected by a
 //! [`FaultPlan`]) is caught with `catch_unwind`, the offending event is
 //! *quarantined* (counted, described, optionally kept), and the shard
@@ -33,8 +39,7 @@ use std::thread::JoinHandle;
 use harrier::SecpertEvent;
 use hth_core::{DigestBuilder, PolicyConfig, Secpert, SessionDigest, Warning};
 use hth_trace::{
-    BundleRing, DiagLevel, DiagnosticBundle, FlightEntryArgs, FlightRecorder, MetricsSnapshot,
-    Trigger,
+    BundleRing, DiagLevel, DiagnosticBundle, FlightRecorder, MetricsSnapshot, Trigger,
 };
 use secpert_engine::{EngineError, MatchStats};
 
@@ -60,16 +65,13 @@ pub enum Backpressure {
 pub struct PoolConfig {
     /// Number of analyst shards (worker threads / Secpert engines).
     pub shards: usize,
-    /// Per-shard queue bound, in events.
+    /// Per-shard queue bound, in events. An analyst takes its whole
+    /// queue per lock crossing, so a shard holds at most twice this
+    /// many events: the queue, plus the run it is analysing. Under
+    /// [`Backpressure::DropOldest`], only queued events can be evicted.
     pub queue_capacity: usize,
     /// Policy when a queue is full.
     pub backpressure: Backpressure,
-    /// Events an analyst drains per queue-lock crossing and feeds the
-    /// engine per batch. `1` reproduces the per-event pipeline exactly;
-    /// larger batches amortize the queue, span and warning-sink
-    /// crossings without changing observable results (pinned by
-    /// `tests/batch_equivalence.rs`).
-    pub batch_size: usize,
     /// How many times a shard may respawn a fresh engine after a panic
     /// before degrading to drain-and-discard.
     pub max_respawns: u32,
@@ -86,10 +88,6 @@ pub struct PoolConfig {
     /// recorder entirely — that exists for the bench's baseline
     /// measurement, not for production.
     pub flight_capacity: usize,
-    /// Watchdog: a drained batch whose processing exceeds this deadline
-    /// captures a [`Trigger::Watchdog`] diagnostic bundle (requires a
-    /// non-zero `flight_capacity`). `None` = off.
-    pub batch_deadline: Option<std::time::Duration>,
     /// Retention ring for captured diagnostic bundles; share one to see
     /// several pools in one place (a serving layer's bundle index). A
     /// private ring is created when unset.
@@ -102,12 +100,10 @@ impl Default for PoolConfig {
             shards: 4,
             queue_capacity: 1024,
             backpressure: Backpressure::Block,
-            batch_size: 64,
             max_respawns: 3,
             faults: None,
             keep_lost_events: false,
             flight_capacity: hth_trace::DEFAULT_FLIGHT_CAPACITY,
-            batch_deadline: None,
             bundles: None,
         }
     }
@@ -186,8 +182,8 @@ pub struct PoolReport {
     /// [`AnalystPool::set_label`] are applied; unlabelled sessions keep
     /// an empty label (the correlator renders them `session-<id>`).
     pub digests: Vec<SessionDigest>,
-    /// Diagnostic bundles captured during the run (quarantines,
-    /// watchdog overruns), in shard order, also retained in the pool's
+    /// Diagnostic bundles captured during the run (one per
+    /// quarantine), in shard order, also retained in the pool's
     /// [`BundleRing`].
     pub bundles: Vec<Arc<DiagnosticBundle>>,
 }
@@ -240,7 +236,7 @@ struct ShardOutcome {
     /// The shard's digests as a wire stream (header + CRC frames) —
     /// the same bytes a remote shard would ship to a correlator.
     digest_stream: Vec<u8>,
-    /// Diagnostic bundles this shard captured (quarantine, watchdog).
+    /// Diagnostic bundles this shard captured (one per quarantine).
     bundles: Vec<DiagnosticBundle>,
 }
 
@@ -283,7 +279,6 @@ impl AnalystPool {
     pub fn new(config: &PoolConfig, policy: &PolicyConfig) -> Result<AnalystPool, EngineError> {
         assert!(config.shards > 0, "a pool needs at least one shard");
         assert!(config.queue_capacity > 0, "queue capacity must be non-zero");
-        assert!(config.batch_size > 0, "batch size must be non-zero");
         let mut engines = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
             engines.push(Secpert::new(policy)?);
@@ -310,7 +305,6 @@ impl AnalystPool {
             .enumerate()
             .map(|(shard, (engine, queue))| {
                 let queue = Arc::clone(queue);
-                let batch_size = config.batch_size;
                 let supervisor = Supervisor {
                     shard,
                     policy: policy.clone(),
@@ -319,9 +313,8 @@ impl AnalystPool {
                     keep_lost_events: config.keep_lost_events,
                     flight: (config.flight_capacity > 0)
                         .then(|| FlightRecorder::new(config.flight_capacity)),
-                    batch_deadline: config.batch_deadline,
                 };
-                std::thread::spawn(move || analyst_loop(engine, &queue, supervisor, batch_size))
+                std::thread::spawn(move || analyst_loop(engine, &queue, supervisor))
             })
             .collect();
         Ok(AnalystPool {
@@ -544,7 +537,6 @@ struct Supervisor {
     /// Always-on per-shard flight recorder (`None` only when
     /// `PoolConfig::flight_capacity` is 0 — the bench baseline).
     flight: Option<FlightRecorder>,
-    batch_deadline: Option<std::time::Duration>,
 }
 
 enum Analyst {
@@ -556,49 +548,28 @@ enum Analyst {
     Failed,
 }
 
-/// One analyst worker: drain up to `batch_size` events per queue-lock
-/// crossing, feed the private engine in runs under a panic supervisor.
-/// Runs until the queue is closed *and* empty — even a failed shard
-/// keeps draining, which is what makes `Backpressure::Block`
-/// deadlock-free.
-fn analyst_loop(
-    engine: Secpert,
-    queue: &ShardQueue,
-    supervisor: Supervisor,
-    batch_size: usize,
-) -> ShardOutcome {
+/// One analyst worker: take every queued event per queue-lock crossing
+/// (the queue bound caps how many), then feed the private engine one
+/// event per call under a panic supervisor. Runs until the queue is
+/// closed *and* empty — even a failed shard keeps draining, which is
+/// what makes `Backpressure::Block` deadlock-free.
+fn analyst_loop(engine: Secpert, queue: &ShardQueue, supervisor: Supervisor) -> ShardOutcome {
     let _span = hth_trace::span("pool.analyst");
     let mut outcome = ShardOutcome::default();
     let mut analyst = Analyst::Running(Box::new(engine));
     let mut nth = 0u64;
-    let batch_size = batch_size.max(1);
-    // The reusable drain buffers: struct-of-arrays so the engine still
-    // sees a contiguous `&[SecpertEvent]` run while every slot keeps
-    // its session id for digest attribution. One allocation for the
-    // life of the shard, refilled on every queue crossing.
-    let mut sids: Vec<SessionId> = Vec::with_capacity(batch_size);
-    let mut batch: Vec<SecpertEvent> = Vec::with_capacity(batch_size);
+    // Swapped with the queue's deque on every crossing, so both keep
+    // their capacity and the lock is held for O(1) work.
+    let mut run: VecDeque<(SessionId, SecpertEvent)> = VecDeque::new();
     loop {
-        sids.clear();
-        batch.clear();
         {
             let mut state = lock_state(queue);
-            loop {
-                if !state.deque.is_empty() {
-                    let n = batch_size.min(state.deque.len());
-                    for (sid, event) in state.deque.drain(..n) {
-                        sids.push(sid);
-                        batch.push(event);
-                    }
-                    break;
-                }
-                if state.closed {
-                    break;
-                }
+            while state.deque.is_empty() && !state.closed {
                 state = queue.not_empty.wait(state).unwrap_or_else(PoisonError::into_inner);
             }
+            std::mem::swap(&mut state.deque, &mut run);
         }
-        if batch.is_empty() {
+        if run.is_empty() {
             // Closed and drained: fold the live engine's match counters
             // into the outcome before the engine is dropped, then ship
             // the shard's digests as one wire stream.
@@ -612,37 +583,17 @@ fn analyst_loop(
             outcome.digest_stream = write_digest_stream(&digests);
             return outcome;
         }
-        match batch.len() {
+        match run.len() {
             1 => queue.not_full.notify_one(),
             _ => queue.not_full.notify_all(),
         }
         let drained_at = std::time::Instant::now();
-        process_drained(&mut analyst, &mut outcome, &supervisor, &sids, &batch, &mut nth);
+        for (session, event) in run.drain(..) {
+            nth += 1;
+            process(&mut analyst, &mut outcome, &supervisor, session, event, nth);
+        }
         if let Some(flight) = &supervisor.flight {
-            let elapsed = drained_at.elapsed();
-            flight.stage("pool.batch", elapsed.as_nanos() as u64);
-            if let Some(deadline) = supervisor.batch_deadline {
-                if elapsed > deadline {
-                    let mut stats = MetricsSnapshot::new();
-                    shard_stats_snapshot(&mut stats, &outcome, &analyst);
-                    let trigger = Trigger::Watchdog {
-                        elapsed_us: elapsed.as_micros() as u64,
-                        deadline_us: deadline.as_micros() as u64,
-                    };
-                    let component = format!("pool.shard{}", supervisor.shard);
-                    hth_trace::global_diag().log(
-                        DiagLevel::Warn,
-                        &component,
-                        &format!(
-                            "batch of {} events took {}us (deadline {}us)",
-                            batch.len(),
-                            elapsed.as_micros(),
-                            deadline.as_micros()
-                        ),
-                    );
-                    outcome.bundles.push(flight.capture(&component, trigger, stats, Vec::new()));
-                }
-            }
+            flight.stage("pool.batch", drained_at.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -663,248 +614,78 @@ fn shard_stats_snapshot(stats: &mut MetricsSnapshot, outcome: &ShardOutcome, ana
     stats.add_counter("hth_pool_warnings", outcome.warnings.len() as u64);
 }
 
-/// Feeds one drained batch through the analyst, preserving the
-/// per-event semantics of the original one-pop-per-lock loop: fault
-/// injection points keep their per-event indices, every event lands in
-/// exactly one of analysed / quarantined / discarded, and a mid-batch
-/// panic loses only the panicking event — the completed prefix keeps
-/// its warnings (recovered from the engine's sink) and the suffix is
-/// re-fed to the respawned engine.
-fn process_drained(
+/// Feeds the shard's `nth` event through the analyst: the injected
+/// stall if the fault plan has one, then one engine call under
+/// `catch_unwind`. The event lands in exactly one of analysed,
+/// discarded (the shard is degraded, or the engine returned an error)
+/// and quarantined (the engine panicked).
+fn process(
     analyst: &mut Analyst,
     outcome: &mut ShardOutcome,
     supervisor: &Supervisor,
-    sids: &[SessionId],
-    batch: &[SecpertEvent],
-    nth: &mut u64,
+    session: SessionId,
+    event: SecpertEvent,
+    nth: u64,
 ) {
     let shard = supervisor.shard;
     let faults = supervisor.faults.as_deref();
-    let nth0 = *nth;
-    *nth += batch.len() as u64;
-    let nth_of = |k: usize| nth0 + 1 + k as u64;
-    // Events a fault plan touches are handled one at a time, exactly
-    // like the per-event loop; only fault-free runs are batched.
-    let faulted = |k: usize| {
-        faults.is_some_and(|f| {
-            f.stall(shard, nth_of(k)).is_some() || f.should_panic(shard, nth_of(k))
-        })
-    };
-    let mut i = 0;
-    while i < batch.len() {
-        let Analyst::Running(engine) = &mut *analyst else {
-            for event in &batch[i..] {
-                if let Some(stall) = faults.and_then(|f| f.stall(shard, nth_of(i))) {
-                    std::thread::sleep(stall);
-                }
-                outcome.discarded += 1;
-                if supervisor.keep_lost_events {
-                    outcome.lost_events.push((sids[i], event.clone()));
-                }
-                i += 1;
-            }
-            return;
-        };
-        let mut j = i;
-        while j < batch.len() && !faulted(j) {
-            j += 1;
-        }
-        if j > i {
-            // Fault-free run: one engine call for the whole slice.
-            let run = &batch[i..j];
-            let events_before = engine.events_processed();
-            let sink_before = engine.warnings_count();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if run.len() == 1 {
-                    engine.process_event(&run[0])
-                } else {
-                    engine.process_batch(run)
-                }
-            }));
-            match result {
-                Ok(Ok(warnings)) => {
-                    outcome.events += run.len() as u64;
-                    for k in i..j {
-                        outcome.digest(sids[k]).observe(&batch[k]);
-                    }
-                    record_flight(supervisor, sids, batch, i, j);
-                    record_warnings(outcome, warnings, &sids[i..j], events_before);
-                    i = j;
-                }
-                Ok(Err(e)) => {
-                    // An engine *error* is a policy bug, not a bad
-                    // event: analysis results can no longer be trusted,
-                    // so the shard degrades. The event that surfaced the
-                    // bug is discarded; the completed prefix keeps its
-                    // results.
-                    let ok = completed_before_failure(engine, events_before);
-                    outcome.events += ok as u64;
-                    for k in i..i + ok {
-                        outcome.digest(sids[k]).observe(&batch[k]);
-                    }
-                    record_flight(supervisor, sids, batch, i, i + ok);
-                    let kept = completed_warnings(engine, sink_before, events_before + ok as u64);
-                    record_warnings(outcome, kept, &sids[i..j], events_before);
-                    hth_trace::global_diag().log(
-                        DiagLevel::Error,
-                        &format!("pool.shard{shard}"),
-                        &format!("engine error, shard degraded to drain-and-discard: {e}"),
-                    );
-                    outcome.errors.push(format!("shard {shard}: engine error: {e}"));
-                    outcome.discarded += 1;
-                    if supervisor.keep_lost_events {
-                        outcome.lost_events.push((sids[i + ok], batch[i + ok].clone()));
-                    }
-                    // Retired merge: this engine never runs again, so
-                    // its live tokens are folded into `tokens_removed`
-                    // rather than inflating the pool-wide live gauge.
-                    outcome.match_stats.merge_retired(&engine.match_stats());
-                    *analyst = Analyst::Failed;
-                    i += ok + 1;
-                }
-                Err(panic) => {
-                    // A panic is blamed on the event the engine was on:
-                    // quarantine it, keep the completed prefix, then
-                    // respawn and continue with the suffix.
-                    let ok = completed_before_failure(engine, events_before);
-                    let culprit = i + ok;
-                    outcome.events += ok as u64;
-                    for k in i..culprit {
-                        outcome.digest(sids[k]).observe(&batch[k]);
-                    }
-                    record_flight(supervisor, sids, batch, i, culprit);
-                    let kept = completed_warnings(engine, sink_before, events_before + ok as u64);
-                    record_warnings(outcome, kept, &sids[i..j], events_before);
-                    quarantine(
-                        analyst,
-                        outcome,
-                        supervisor,
-                        sids[culprit],
-                        &batch[culprit],
-                        nth_of(culprit),
-                        panic,
-                    );
-                    i = culprit + 1;
-                }
-            }
-            continue;
-        }
-        // batch[i] carries an injected fault: per-event path, exactly
-        // as the original loop ran it.
-        if let Some(stall) = faults.and_then(|f| f.stall(shard, nth_of(i))) {
-            std::thread::sleep(stall);
-        }
-        let event_nth = nth_of(i);
-        let event = &batch[i];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if faults.is_some_and(|f| f.should_panic(shard, event_nth)) {
-                panic!("injected fault: shard {shard} event {event_nth}");
-            }
-            engine.process_event(event)
-        }));
-        match result {
-            Ok(Ok(warnings)) => {
-                outcome.events += 1;
-                outcome.digest(sids[i]).observe(event);
-                record_flight(supervisor, sids, batch, i, i + 1);
-                for warning in &warnings {
-                    outcome.digest(sids[i]).observe_warning(warning);
-                }
-                outcome.warnings.extend(warnings);
-            }
-            Ok(Err(e)) => {
-                hth_trace::global_diag().log(
-                    DiagLevel::Error,
-                    &format!("pool.shard{shard}"),
-                    &format!("engine error, shard degraded to drain-and-discard: {e}"),
-                );
-                outcome.errors.push(format!("shard {shard}: engine error: {e}"));
-                outcome.discarded += 1;
-                if supervisor.keep_lost_events {
-                    outcome.lost_events.push((sids[i], event.clone()));
-                }
-                outcome.match_stats.merge_retired(&engine.match_stats());
-                *analyst = Analyst::Failed;
-            }
-            Err(panic) => {
-                quarantine(analyst, outcome, supervisor, sids[i], event, event_nth, panic);
-            }
-        }
-        i += 1;
+    if let Some(stall) = faults.and_then(|f| f.stall(shard, nth)) {
+        std::thread::sleep(stall);
     }
-}
-
-/// Extends the outcome's warning list and folds each warning's skeleton
-/// into the digest of the session it belongs to. Attribution goes
-/// through the warning's provenance event index — the engine counts
-/// events for its whole life, so `event_index - events_before - 1` is
-/// the warning's offset within this run whatever the batch boundaries
-/// were, which is what keeps digests identical across batch sizes.
-fn record_warnings(
-    outcome: &mut ShardOutcome,
-    warnings: Vec<Warning>,
-    run_sids: &[SessionId],
-    events_before: u64,
-) {
-    for warning in &warnings {
-        let sid = warning
-            .provenance
-            .as_ref()
-            .and_then(|p| {
-                let offset = p.event_index.checked_sub(events_before + 1)?;
-                run_sids.get(offset as usize).copied()
-            })
-            .unwrap_or(run_sids[0]);
-        outcome.digest(sid).observe_warning(warning);
-    }
-    outcome.warnings.extend(warnings);
-}
-
-/// How many events of a partially-failed engine call completed cleanly.
-/// `Secpert` counts an event as soon as it starts, so the in-flight
-/// event is included in the delta and subtracted back out.
-fn completed_before_failure(engine: &Secpert, events_before: u64) -> usize {
-    ((engine.events_processed() - events_before) as usize).saturating_sub(1)
-}
-
-/// Warnings the engine's sink gained for the *completed* events of a
-/// partially-failed batch. The failing event's partial warnings stay
-/// unreported — matching the per-event path, where a failed
-/// `process_event` returns nothing — which is why the filter keys on
-/// each warning's provenance event index.
-fn completed_warnings(engine: &Secpert, sink_before: usize, last_ok_index: u64) -> Vec<Warning> {
-    engine
-        .warnings_since(sink_before)
-        .into_iter()
-        .filter(|w| w.provenance.as_ref().is_some_and(|p| p.event_index <= last_ok_index))
-        .collect()
-}
-
-/// Records one analysed run (`[from, to)` within the drained batch)
-/// into the shard's flight recorder — a no-op when the recorder is
-/// disabled, one lock crossing otherwise.
-fn record_flight(
-    supervisor: &Supervisor,
-    sids: &[SessionId],
-    batch: &[SecpertEvent],
-    from: usize,
-    to: usize,
-) {
-    let Some(flight) = &supervisor.flight else {
+    let Analyst::Running(engine) = &mut *analyst else {
+        outcome.discarded += 1;
+        if supervisor.keep_lost_events {
+            outcome.lost_events.push((session, event));
+        }
         return;
     };
-    if from >= to {
-        return;
-    }
-    flight.record_batch(batch[from..to].iter().zip(&sids[from..to]).map(|(event, sid)| {
-        FlightEntryArgs {
-            session: *sid,
-            time: event.time(),
-            kind: "event",
-            label: event.syscall(),
-            detail: event.resource_name(),
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if faults.is_some_and(|f| f.should_panic(shard, nth)) {
+            panic!("injected fault: shard {shard} event {nth}");
         }
+        engine.process_event(&event)
     }));
+    match result {
+        Ok(Ok(warnings)) => {
+            outcome.events += 1;
+            if let Some(flight) = &supervisor.flight {
+                flight.record(
+                    session,
+                    event.time(),
+                    "event",
+                    event.syscall(),
+                    event.resource_name(),
+                );
+            }
+            let digest = outcome.digest(session);
+            digest.observe(&event);
+            for warning in &warnings {
+                digest.observe_warning(warning);
+            }
+            outcome.warnings.extend(warnings);
+        }
+        Ok(Err(e)) => {
+            // An engine *error* is a policy bug, not a bad event:
+            // analysis results can no longer be trusted, so the shard
+            // degrades. The event that surfaced the bug is discarded.
+            hth_trace::global_diag().log(
+                DiagLevel::Error,
+                &format!("pool.shard{shard}"),
+                &format!("engine error, shard degraded to drain-and-discard: {e}"),
+            );
+            outcome.errors.push(format!("shard {shard}: engine error: {e}"));
+            outcome.discarded += 1;
+            // Retired merge: this engine never runs again, so its live
+            // tokens are folded into `tokens_removed` rather than
+            // inflating the pool-wide live gauge.
+            outcome.match_stats.merge_retired(&engine.match_stats());
+            if supervisor.keep_lost_events {
+                outcome.lost_events.push((session, event));
+            }
+            *analyst = Analyst::Failed;
+        }
+        Err(panic) => quarantine(analyst, outcome, supervisor, session, &event, nth, panic),
+    }
 }
 
 /// Quarantines one event after a panic and respawns a fresh engine if

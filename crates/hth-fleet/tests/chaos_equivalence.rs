@@ -180,30 +180,29 @@ fn fault_free_pool_matches_the_baseline_exactly() {
     assert_eq!(warning_multiset(&report.warnings), warning_multiset(&baseline_warnings));
 }
 
-/// A fault *inside* a batch changes nothing the counters can see: for
-/// the same ten seeds, a `batch_size=64` pool (with the first event of
-/// every shard stalled so the queue fills and later drains are real
-/// multi-event batches — the guaranteed panic then fires mid-batch)
-/// and a `batch_size=1` pool produce identical counters, identical
-/// survivor warning multisets, and identical lost-event multisets,
-/// and both satisfy `submitted == analysed + dropped + quarantined +
-/// discarded` on every shard.
+/// A fault *inside* a drained run changes nothing the counters can
+/// see: for the same ten seeds, a plan that stalls the first event of
+/// every shard for 20 ms (so the queue fills behind it and the next
+/// drain holds many events — the guaranteed panic then lands inside
+/// that run) and the same plan without the stall produce identical
+/// counters, identical survivor warning multisets, and identical
+/// lost-event multisets, and both satisfy `submitted == analysed +
+/// dropped + quarantined + discarded` on every shard.
 #[test]
 fn chaos_inside_a_batch_is_counted_exactly_like_per_event() {
     let scenarios = workload();
     let streams: Vec<Vec<SecpertEvent>> = scenarios.iter().map(|s| record(s).1).collect();
 
-    let run = |seed: u64, batch_size: usize| {
+    let run = |seed: u64, stall: bool| {
         let mut plan = FaultPlan::from_seed(seed);
         for shard in 0..4 {
-            // The stall parks each shard on its first event while the
-            // producers fill its queue; the panic two-to-four events
-            // later then lands inside a drained multi-event batch.
-            plan = plan.stall_on(shard, 1, 20).panic_on(shard, 2 + seed % 3);
+            if stall {
+                plan = plan.stall_on(shard, 1, 20);
+            }
+            plan = plan.panic_on(shard, 2 + seed % 3);
         }
         let config = PoolConfig {
             shards: 4,
-            batch_size,
             max_respawns: (seed % 3) as u32,
             faults: Some(Arc::new(plan)),
             keep_lost_events: true,
@@ -219,9 +218,9 @@ fn chaos_inside_a_batch_is_counted_exactly_like_per_event() {
     };
 
     for seed in SEEDS {
-        let batched = run(seed, 64);
-        let serial = run(seed, 1);
-        for report in [&batched, &serial] {
+        let stalled = run(seed, true);
+        let plain = run(seed, false);
+        for report in [&stalled, &plain] {
             for (i, shard) in report.shards.iter().enumerate() {
                 assert_eq!(
                     shard.submitted,
@@ -231,14 +230,14 @@ fn chaos_inside_a_batch_is_counted_exactly_like_per_event() {
             }
             assert!(report.quarantined > 0, "seed {seed}: the guaranteed panics must fire");
         }
-        assert_eq!(batched.submitted, serial.submitted, "seed {seed}");
-        assert_eq!(batched.events, serial.events, "seed {seed}: analysed diverged");
-        assert_eq!(batched.dropped, serial.dropped, "seed {seed}: dropped diverged");
-        assert_eq!(batched.quarantined, serial.quarantined, "seed {seed}: quarantined diverged");
-        assert_eq!(batched.discarded, serial.discarded, "seed {seed}: discarded diverged");
+        assert_eq!(stalled.submitted, plain.submitted, "seed {seed}");
+        assert_eq!(stalled.events, plain.events, "seed {seed}: analysed diverged");
+        assert_eq!(stalled.dropped, plain.dropped, "seed {seed}: dropped diverged");
+        assert_eq!(stalled.quarantined, plain.quarantined, "seed {seed}: quarantined diverged");
+        assert_eq!(stalled.discarded, plain.discarded, "seed {seed}: discarded diverged");
         assert_eq!(
-            warning_multiset(&batched.warnings),
-            warning_multiset(&serial.warnings),
+            warning_multiset(&stalled.warnings),
+            warning_multiset(&plain.warnings),
             "seed {seed}: survivor warnings diverged"
         );
         let multiset = |events: &[(u64, SecpertEvent)]| {
@@ -248,8 +247,8 @@ fn chaos_inside_a_batch_is_counted_exactly_like_per_event() {
             rendered
         };
         assert_eq!(
-            multiset(&batched.lost_events),
-            multiset(&serial.lost_events),
+            multiset(&stalled.lost_events),
+            multiset(&plain.lost_events),
             "seed {seed}: lost events diverged"
         );
     }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use harrier::{Origin, ResourceType, SecpertEvent, SourceInfo};
-use hth_core::PolicyConfig;
+use hth_core::{PolicyConfig, Secpert};
 use hth_fleet::{AnalystPool, Backpressure, FaultPlan, PoolConfig, PoolReport};
 
 fn event(i: u64) -> SecpertEvent {
@@ -121,4 +121,63 @@ fn stalls_delay_but_never_lose_events() {
     assert_eq!(stats.events, 40);
     assert_eq!(stats.lost(), 0);
     assert_eq!(report.warnings.len(), 40);
+}
+
+/// An engine *error* — a policy bug that surfaces at run time — is not
+/// a bad event: the shard degrades to drain-and-discard. The failing
+/// event's own warning, already in the engine's sink when its rule
+/// failed, is not reported; it and every later event are discarded,
+/// counted and kept.
+#[test]
+fn engine_error_degrades_the_shard_to_drain_and_discard() {
+    // Salience -50 runs after check_execve (0) and before the -100
+    // cleanup rules; the `+` of a string fails at run time.
+    let policy = PolicyConfig {
+        extra_rules: vec![r#"
+            (defrule boom
+              (declare (salience -50))
+              (system_call_access (system_call_name SYS_execve) (resource_name ?name))
+              (test (eq ?name "/bin/boom"))
+              =>
+              (bind ?x (+ 1 ?name)))
+        "#
+        .to_string()],
+        ..PolicyConfig::default()
+    };
+    let mut boom = event(3);
+    if let SecpertEvent::ResourceAccess { resource, .. } = &mut boom {
+        *resource = SourceInfo::new(ResourceType::File, "/bin/boom");
+    }
+
+    let mut expert = Secpert::new(&policy).expect("policy loads");
+    assert!(expert.process_event(&boom).is_err(), "the boom rule must fail at run time");
+    assert!(
+        expert.warnings().iter().any(|w| w.time == 3 && w.rule == "check_execve"),
+        "check_execve must warn for the boom event before its rule fails, or this test \
+         checks nothing"
+    );
+
+    let config = PoolConfig { shards: 1, keep_lost_events: true, ..PoolConfig::default() };
+    let pool = AnalystPool::new(&config, &policy).expect("policy loads");
+    for i in 0..3 {
+        pool.submit(0, event(i));
+    }
+    pool.submit(0, boom);
+    for i in 4..7 {
+        pool.submit(0, event(i));
+    }
+    let report = pool.finish();
+    let stats = &report.shards[0];
+    assert_eq!(stats.events, 3, "the events before the failure are analysed");
+    let warned: Vec<u64> = report.warnings.iter().map(|w| w.time).collect();
+    assert_eq!(warned, vec![0, 1, 2], "the boom event's own warning must not be reported");
+    assert_eq!(stats.discarded, 4, "the failing event and everything after it");
+    assert_eq!(stats.quarantined, 0, "an engine error is not a panic");
+    assert_eq!(stats.respawns, 0);
+    assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
+    assert!(report.errors[0].contains("engine error"), "{:?}", report.errors);
+    let mut lost: Vec<u64> = report.lost_events.iter().map(|(_, e)| e.time()).collect();
+    lost.sort_unstable();
+    assert_eq!(lost, vec![3, 4, 5, 6]);
+    assert_eq!(report.submitted, report.events + report.lost(), "no silent loss");
 }

@@ -15,13 +15,13 @@
 //! no cross-thread contention.
 //!
 //! When a trigger fires — a high-severity warning, a shard quarantine,
-//! a torn-snapshot fallback, a protocol drop, or a watchdog deadline
-//! ([`Trigger`]) — the owner snapshots the ring together with its
-//! current stats into a [`DiagnosticBundle`]: the event tail, stage
-//! timings, a metrics snapshot plus the delta since the previous
-//! capture, and the triggering warning's rendered provenance. Bundles
-//! are retained in a bounded [`BundleRing`] (fetchable over the serve
-//! daemon's `/bundles/<n>` endpoint, dumpable to disk as JSON).
+//! a torn-snapshot fallback, or a protocol drop ([`Trigger`]) — the
+//! owner snapshots the ring together with its current stats into a
+//! [`DiagnosticBundle`]: the event tail, stage timings, a metrics
+//! snapshot plus the delta since the previous capture, and the
+//! triggering warning's rendered provenance. Bundles are retained in a
+//! bounded [`BundleRing`] (fetchable over the serve daemon's
+//! `/bundles/<n>` endpoint, dumpable to disk as JSON).
 //!
 //! [`DiagnosticBundle::render`] is deliberately restricted to the
 //! deterministic fields (trigger, event tail, provenance) so that a
@@ -136,13 +136,6 @@ pub enum Trigger {
         /// The decode / framing error.
         error: String,
     },
-    /// A batch or request exceeded the configured latency deadline.
-    Watchdog {
-        /// Observed service time in microseconds.
-        elapsed_us: u64,
-        /// The configured deadline in microseconds.
-        deadline_us: u64,
-    },
 }
 
 impl Trigger {
@@ -153,7 +146,6 @@ impl Trigger {
             Trigger::Quarantine { .. } => "quarantine",
             Trigger::RestoreFallback { .. } => "restore_fallback",
             Trigger::ProtocolDrop { .. } => "protocol_drop",
-            Trigger::Watchdog { .. } => "watchdog",
         }
     }
 
@@ -168,9 +160,6 @@ impl Trigger {
                 format!("session {session}: torn snapshot, full replay")
             }
             Trigger::ProtocolDrop { error } => format!("connection dropped: {error}"),
-            Trigger::Watchdog { elapsed_us, deadline_us } => {
-                format!("{elapsed_us}us service time exceeded {deadline_us}us deadline")
-            }
         }
     }
 
@@ -191,9 +180,6 @@ impl Trigger {
             }
             Trigger::ProtocolDrop { error } => {
                 let _ = write!(out, ",\"error\":{}", quote(error));
-            }
-            Trigger::Watchdog { elapsed_us, deadline_us } => {
-                let _ = write!(out, ",\"elapsed_us\":{elapsed_us},\"deadline_us\":{deadline_us}");
             }
         }
     }
@@ -256,42 +242,27 @@ impl FlightRecorder {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push_locked(state: &mut FlightState, capacity: usize, entry: FlightEntryArgs<'_>) {
-        state.seq += 1;
-        if state.ring.len() == capacity {
-            state.ring.pop_front();
-            state.overwritten += 1;
-        }
-        state.ring.push_back(FlightEntry {
-            seq: state.seq,
-            session: entry.session,
-            time: entry.time,
-            kind: entry.kind,
-            label: SmallStr::new(entry.label),
-            detail: SmallStr::new(entry.detail),
-        });
-    }
-
     /// Records one entry. Allocation-free; one uncontended mutex.
     pub fn record(&self, session: u64, time: u64, kind: &'static str, label: &str, detail: &str) {
         let mut state = self.lock();
-        FlightRecorder::push_locked(
-            &mut state,
-            self.capacity,
-            FlightEntryArgs { session, time, kind, label, detail },
-        );
-    }
-
-    /// Records a run of entries under one lock (the batched hot path).
-    pub fn record_batch<'a>(&self, entries: impl Iterator<Item = FlightEntryArgs<'a>>) {
-        let mut state = self.lock();
-        for entry in entries {
-            FlightRecorder::push_locked(&mut state, self.capacity, entry);
+        state.seq += 1;
+        if state.ring.len() == self.capacity {
+            state.ring.pop_front();
+            state.overwritten += 1;
         }
+        let seq = state.seq;
+        state.ring.push_back(FlightEntry {
+            seq,
+            session,
+            time,
+            kind,
+            label: SmallStr::new(label),
+            detail: SmallStr::new(detail),
+        });
     }
 
-    /// Accumulates coarse timing for a named stage (call per batch, not
-    /// per event — the point is attribution, not precision).
+    /// Accumulates coarse timing for a named stage (call per drained
+    /// run, not per event — the point is attribution, not precision).
     pub fn stage(&self, stage: &'static str, nanos: u64) {
         let mut state = self.lock();
         let timing = state.stages.entry(stage).or_default();
@@ -339,22 +310,6 @@ impl FlightRecorder {
             provenance,
         }
     }
-}
-
-/// Arguments for one recorded entry (what [`FlightRecorder::record`]
-/// takes, named so batched callers can build them inline).
-#[derive(Clone, Copy, Debug)]
-pub struct FlightEntryArgs<'a> {
-    /// Session the entry belongs to (0 when not applicable).
-    pub session: u64,
-    /// Virtual time of the event (0 when not applicable).
-    pub time: u64,
-    /// Entry class: `"event"`, `"warning"`, `"fault"`, `"request"`, …
-    pub kind: &'static str,
-    /// Short label — typically the syscall or request name.
-    pub label: &'a str,
-    /// Short detail — typically the resource or message.
-    pub detail: &'a str,
 }
 
 /// Everything known at the moment a trigger fired, serializable and

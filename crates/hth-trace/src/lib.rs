@@ -16,7 +16,7 @@
 //!   recent events and coarse stage timings — independent of the
 //!   tracer's enabled gate — snapshotted into serializable
 //!   [`DiagnosticBundle`]s when a trigger fires (warning, quarantine,
-//!   restore fallback, protocol drop, watchdog).
+//!   restore fallback, protocol drop).
 //! * **Diagnostics log** ([`diag`]): structured `level + component +
 //!   message` lines through a token-bucket rate limit, giving the
 //!   previously-silent failure paths a bounded voice.
@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use diag::{global as global_diag, DiagLevel, DiagLog};
 pub use flight::{
-    BundleRing, DiagnosticBundle, FlightEntry, FlightEntryArgs, FlightRecorder, SmallStr, Trigger,
+    BundleRing, DiagnosticBundle, FlightEntry, FlightRecorder, SmallStr, Trigger,
     DEFAULT_BUNDLE_RETENTION, DEFAULT_FLIGHT_CAPACITY,
 };
 pub use metrics::{global as global_metrics, Histogram, MetricsSnapshot, Registry};

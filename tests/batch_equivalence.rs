@@ -1,6 +1,7 @@
-//! Batch/per-event differential suite: the batched shard hot path must
-//! be *byte-identical* to the per-event path it replaced, for every
-//! batch size and every batch boundary.
+//! Batch/per-event differential suite: every batched entry point —
+//! [`Secpert::process_batch`] and the pool's `submit_batch` — must be
+//! *byte-identical* to the per-event path, for every batch size and
+//! every batch boundary.
 //!
 //! Three layers of evidence:
 //!
@@ -9,11 +10,11 @@
 //!   mid-session split points, comparing rendered warnings, `hth
 //!   explain` provenance trees, and [`MatchStats`] against a per-event
 //!   reference engine;
-//! * a pool-level differential: the same session streams through a
-//!   `batch_size=64` analyst pool and a `batch_size=1` pool (and
-//!   through producer-side `submit_batch` splits that cut sessions
-//!   mid-stream) must agree on events analysed and the warning
-//!   multiset;
+//! * a pool-level differential: the same session streams through an
+//!   analyst pool, submitted per event and in producer-side
+//!   `submit_batch` chunks that cut sessions mid-stream, must agree
+//!   with per-session expert replays on events analysed and the
+//!   warning multiset;
 //! * the PR 1 golden anchor: batched offline replay of the §8 corpus
 //!   reproduces `tests/golden/warnings.txt` and
 //!   `tests/golden/explain.txt` byte-for-byte.
@@ -164,16 +165,17 @@ fn every_batch_size_matches_on_every_stream() {
     }
 }
 
-/// Pool-level differential: a `batch_size=64` pool, a `batch_size=1`
-/// pool, and producer-side `submit_batch` chunks that cut sessions
-/// mid-stream all agree on events analysed and the warning multiset.
+/// Pool-level differential: a pool fed per event, and pools fed
+/// producer-side `submit_batch` chunks that cut sessions mid-stream,
+/// all agree with per-session expert replays on events analysed and
+/// the warning multiset.
 #[test]
 fn batched_pool_matches_per_event_pool() {
     let corpus = corpus();
     let total: u64 = corpus.iter().map(|(_, s)| s.len() as u64).sum();
 
-    let run = |batch_size: usize, producer_chunk: usize| {
-        let config = PoolConfig { shards: 4, batch_size, ..PoolConfig::default() };
+    let run = |producer_chunk: usize| {
+        let config = PoolConfig { shards: 4, ..PoolConfig::default() };
         let pool = AnalystPool::new(&config, &PolicyConfig::default()).expect("policy loads");
         let mut buffer: Vec<SecpertEvent> = Vec::new();
         for (sid, (_, stream)) in corpus.iter().enumerate() {
@@ -194,24 +196,26 @@ fn batched_pool_matches_per_event_pool() {
         report
     };
 
-    let reference = run(1, 1);
-    assert_eq!(reference.events, total);
-    let baseline = warning_multiset(&reference.warnings);
+    // Each session replayed alone through a fresh expert.
+    let mut expected = Vec::new();
+    for (id, stream) in corpus {
+        let mut secpert = Secpert::new(&PolicyConfig::default()).expect("policy loads");
+        for event in stream {
+            expected.extend(secpert.process_event(event).expect(id));
+        }
+    }
+    let baseline = warning_multiset(&expected);
     assert!(!baseline.is_empty(), "the corpus must warn");
 
-    // (shard batch, producer chunk): default batched shards, batched
-    // producers over per-event shards, and both at once with a chunk
-    // size that never aligns with session length.
-    for (batch_size, producer_chunk) in [(64, 1), (1, 7), (64, 7), (3, 13)] {
-        let report = run(batch_size, producer_chunk);
-        assert_eq!(
-            report.events, total,
-            "batch={batch_size} chunk={producer_chunk}: event count diverged"
-        );
+    // Producer chunks: per event, and two sizes that never align with
+    // session length.
+    for producer_chunk in [1, 7, 13] {
+        let report = run(producer_chunk);
+        assert_eq!(report.events, total, "chunk={producer_chunk}: event count diverged");
         assert_eq!(
             warning_multiset(&report.warnings),
             baseline,
-            "batch={batch_size} chunk={producer_chunk}: warning multiset diverged"
+            "chunk={producer_chunk}: warning multiset diverged"
         );
     }
 }

@@ -9,17 +9,16 @@
 //! [`CorrelationReport`] *in full* — warnings, provenance, transcript,
 //! and the rendered fleet causal trees — byte for byte:
 //!
-//! * the batch fleet: [`run_scenarios`] over shard counts {1, 2, 4} ×
-//!   analyst batch sizes {1, 64}, digests built shard-side and shipped
-//!   over the digest wire codec;
+//! * the batch fleet: [`run_scenarios`] over shard counts {1, 2, 4},
+//!   digests built shard-side and shipped over the digest wire codec;
 //! * journal replay: every session recorded to an event journal,
 //!   decoded back, re-analysed offline with [`replay`], re-digested;
 //! * the serve daemon: sessions submitted event-at-a-time into a
 //!   [`SessionTable`] — with the default budget and with `budget 0`
 //!   (every session evicted and revived around every request) — and
 //!   over real loopback TCP through the framed protocol;
-//! * a property soak mixing transports, shard counts, batch sizes and
-//!   worker counts (`PROPTEST_CASES` scales it up in CI).
+//! * a property soak mixing transports, shard counts and worker counts
+//!   (`PROPTEST_CASES` scales it up in CI).
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -115,10 +114,9 @@ fn assert_matches_baseline(leg: &str, report: &CorrelationReport) {
 }
 
 /// One batch-fleet run of the campaign with the correlator on.
-fn fleet_leg(shards: usize, batch_size: usize, workers: usize) -> CorrelationReport {
+fn fleet_leg(shards: usize, workers: usize) -> CorrelationReport {
     let mut config = FleetConfig::default();
     config.pool.shards = shards;
-    config.pool.batch_size = batch_size;
     config.workers = workers;
     config.correlate = Some(CorrelateConfig::default());
     let report =
@@ -172,8 +170,8 @@ fn serve_leg(budget_bytes: usize) -> CorrelationReport {
     table.correlate(&CorrelateConfig::default()).expect("correlate")
 }
 
-/// The headline matrix: every shard count × batch size reproduces the
-/// sequential baseline, and the baseline itself carries the
+/// The headline matrix: every shard count reproduces the sequential
+/// baseline, and the baseline itself carries the
 /// cross-session causal evidence the campaign was built to surface.
 #[test]
 fn fleet_matrix_matches_sequential_baseline() {
@@ -199,10 +197,7 @@ fn fleet_matrix_matches_sequential_baseline() {
     assert_eq!(provenance.syscall, "digest-stream");
 
     for shards in [1usize, 2, 4] {
-        for batch_size in [1usize, 64] {
-            let report = fleet_leg(shards, batch_size, 4);
-            assert_matches_baseline(&format!("fleet shards={shards} batch={batch_size}"), &report);
-        }
+        assert_matches_baseline(&format!("fleet shards={shards}"), &fleet_leg(shards, 4));
     }
 }
 
@@ -262,7 +257,7 @@ fn serve_daemon_matches_sequential_baseline() {
 /// `UPDATE_GOLDEN=1 cargo test --test correlate_equivalence golden`.
 #[test]
 fn fleet_correlation_matches_golden_snapshot() {
-    let report = fleet_leg(4, 64, 4);
+    let report = fleet_leg(4, 4);
     let rendered = format!("{}\n{}", report.render(), report.render_trees());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/correlate.txt");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -281,18 +276,15 @@ fn fleet_correlation_matches_golden_snapshot() {
 /// Which transport a soak case exercises.
 #[derive(Clone, Debug)]
 enum Leg {
-    Fleet { shards: usize, batch_size: usize, workers: usize },
+    Fleet { shards: usize, workers: usize },
     Journal,
     Serve { budget_bytes: usize },
 }
 
 fn leg_strategy() -> impl Strategy<Value = Leg> {
-    const BATCH_SIZES: [usize; 5] = [1, 2, 3, 7, 64];
     const BUDGETS: [usize; 3] = [0, 1 << 14, 64 << 20];
     prop_oneof![
-        (1usize..=4, 0usize..BATCH_SIZES.len(), 1usize..=4).prop_map(|(shards, b, workers)| {
-            Leg::Fleet { shards, batch_size: BATCH_SIZES[b], workers }
-        }),
+        (1usize..=4, 1usize..=4).prop_map(|(shards, workers)| Leg::Fleet { shards, workers }),
         Just(Leg::Journal),
         (0usize..BUDGETS.len()).prop_map(|b| Leg::Serve { budget_bytes: BUDGETS[b] }),
     ]
@@ -302,11 +294,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Transport invariance soak: any transport, any sharding, any
-    /// batching — one report. `PROPTEST_CASES=500` is the CI setting.
+    /// worker count — one report. `PROPTEST_CASES=500` is the CI setting.
     #[test]
     fn correlator_is_transport_invariant(leg in leg_strategy()) {
         let report = match &leg {
-            Leg::Fleet { shards, batch_size, workers } => fleet_leg(*shards, *batch_size, *workers),
+            Leg::Fleet { shards, workers } => fleet_leg(*shards, *workers),
             Leg::Journal => journal_leg(),
             Leg::Serve { budget_bytes } => serve_leg(*budget_bytes),
         };
