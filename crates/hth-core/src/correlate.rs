@@ -16,24 +16,30 @@
 //! every set inside a digest is itself ordered, aggregates are grouped
 //! in key order, and each call starts a fresh engine from the policy
 //! compiled once per process for its configuration. Shard count,
-//! batch size, arrival order and transport (live, serve, journal) can
-//! therefore not change a byte of the output — the invariant
+//! arrival order and transport (live, serve, journal) can therefore not
+//! change a byte of the output — the invariant
 //! `tests/correlate_equivalence.rs` pins.
 //!
-//! Fleet warnings carry [`Provenance`] whose support spans sessions:
-//! the aggregate fact plus every per-session leaf fact behind it, so
-//! `hth explain` renders a causal tree rooted in the sessions that
-//! contributed.
+//! Fleet warnings carry [`Provenance`](crate::Provenance) whose support
+//! spans sessions: the aggregate fact plus every per-session leaf fact
+//! behind it, so `hth explain` renders a causal tree rooted in the
+//! sessions that contributed.
+//!
+//! The same digests also arm *later* sessions (paper §10 item 6, "when
+//! data is downloaded to a file we will be able to see how that file is
+//! being used in later executions"): [`Correlator::arm`] gives a fresh
+//! expert one `dropped_file` fact per file the ingested sessions
+//! downloaded, and two High rules that fire when the new session
+//! executes such a file or sends it to a socket.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
 use secpert_engine::{Engine, EngineError, FactId, Value};
 
 use crate::compiled::CompiledPolicy;
 use crate::digest::SessionDigest;
-use crate::provenance::{FactSupport, Provenance};
-use crate::secpert::WarningSink;
+use crate::provenance::{self, FactSupport};
+use crate::secpert::{Secpert, WarningSink};
 use crate::warning::{Severity, Warning};
 
 /// Thresholds for the correlator rule family (the CLIPS globals in
@@ -150,6 +156,37 @@ impl Agg {
     }
 }
 
+/// The rules [`Correlator::arm`] loads into a later session's expert.
+const CROSS_SESSION_RULES: &str = r#"
+(deftemplate dropped_file
+  (slot path)
+  (slot by)
+  (multislot data_types)
+  (slot session))
+
+(defrule cross_session_exec "executing a file dropped in an earlier session"
+  ?e <- (system_call_access (system_call_name SYS_execve)
+          (pid ?pid) (resource_name ?name) (time ?time))
+  (dropped_file (path ?name) (by ?by) (session ?session))
+  =>
+  (bind ?msg (str-cat "Found SYS_execve call (" ?name ")"
+                      " | this file was dropped by " ?by
+                      " in an earlier monitored session (" ?session ")"))
+  (printout t (severity-text 3) " " ?msg crlf)
+  (warn 3 cross_session_exec ?pid ?time ?msg))
+
+(defrule cross_session_read "reading back a file dropped by an earlier session"
+  ?e <- (data_transfer (pid ?pid) (source_name $?sn) (target_name ?tname)
+          (target_type SOCKET) (time ?time))
+  (dropped_file (path ?path) (by ?by))
+  (test (not (empty-list (member$ ?path $?sn))))
+  =>
+  (bind ?msg (str-cat "Found Write call sending " ?path " (dropped by " ?by
+                      " in an earlier session) to the socket " ?tname))
+  (printout t (severity-text 3) " " ?msg crlf)
+  (warn 3 cross_session_read ?pid ?time ?msg))
+"#;
+
 /// The fleet-wide correlator: ingest digests, then judge the whole
 /// fleet at once.
 #[derive(Debug, Default)]
@@ -187,6 +224,44 @@ impl Correlator {
         self.digests.values()
     }
 
+    /// Arms a later session's expert with the files the ingested
+    /// sessions downloaded (a digest drop: a file write whose bytes
+    /// carry `SOCKET` taint). Loads the `dropped_file` template and the
+    /// `cross_session_exec` / `cross_session_read` rules (both High),
+    /// then asserts one `dropped_file` fact per distinct drop path,
+    /// taken from the lowest session id that dropped it.
+    ///
+    /// Call it once per expert, before the expert's first event.
+    ///
+    /// # Errors
+    ///
+    /// Engine errors from loading the rules or asserting a fact; arming
+    /// an expert a second time fails with [`EngineError::Redefinition`].
+    pub fn arm(&self, expert: &mut Secpert) -> Result<(), EngineError> {
+        expert.load_policy(CROSS_SESSION_RULES)?;
+        let engine = expert.engine_mut();
+        let mut armed = BTreeSet::new();
+        for digest in self.digests.values() {
+            for drop in &digest.drops {
+                if !armed.insert(drop.path.as_str()) {
+                    continue;
+                }
+                let fact = engine
+                    .fact("dropped_file")?
+                    .slot("path", Value::str(drop.path.as_str()))
+                    .slot("by", Value::str(label_of(digest)))
+                    .slot(
+                        "data_types",
+                        Value::multi(drop.content.iter().map(|c| Value::sym(c.as_str()))),
+                    )
+                    .slot("session", Value::Int(digest.session as i64))
+                    .build()?;
+                engine.assert_fact(fact)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Runs the correlator policy over everything ingested. Pure in the
     /// digest multiset: each call starts a fresh engine from the
     /// policy's shared compile, so calling twice yields identical
@@ -211,11 +286,7 @@ impl Correlator {
         let mut exfil: BTreeMap<String, Agg> = BTreeMap::new();
         for digest in self.digests.values() {
             let sid = digest.session as i64;
-            let label = if digest.label.is_empty() {
-                format!("session-{}", digest.session)
-            } else {
-                digest.label.clone()
-            };
+            let label = label_of(digest);
             let fact = engine
                 .fact("session_digest")?
                 .slot("session", Value::Int(sid))
@@ -321,83 +392,51 @@ impl Correlator {
         })
     }
 
-    /// Mirrors `Secpert::attach_provenance` for the fleet engine:
-    /// pairs each warning with its firing by rule name, then extends
-    /// the support with the per-session leaf facts behind the matched
-    /// aggregate, so the causal tree spans the contributing sessions.
+    /// Pairs each fleet warning with its firing (the same pairing as
+    /// the per-session expert's), then extends the support with the
+    /// per-session leaf facts behind the matched aggregate, so the
+    /// causal tree spans the contributing sessions.
     fn attach_provenance(
         &self,
         engine: &Engine,
         warnings: &WarningSink,
         roots: &HashMap<u64, &Agg>,
     ) {
-        let firings = engine.firings();
-        if firings.is_empty() {
-            return;
-        }
         let mut sink = warnings.lock().expect("warning sink poisoned");
-        let mut cursor = 0usize;
-        for slot in sink.iter_mut() {
-            let Some(offset) = firings[cursor..].iter().position(|f| *f.rule == *slot.rule) else {
-                continue;
-            };
-            let at = cursor + offset;
-            cursor = at + 1;
-            let firing = &firings[at];
-            let mut support: Vec<FactSupport> = match engine.support_for(firing.seq) {
-                Some(records) => records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| FactSupport {
-                        id: r.fact,
-                        fact: firing.facts.get(i).map(|f| f.to_string()).unwrap_or_default(),
-                        co_rules: r.co_rules.iter().map(|n| n.to_string()).collect(),
-                    })
-                    .collect(),
-                None => firing
-                    .fact_ids
-                    .iter()
-                    .flatten()
-                    .enumerate()
-                    .map(|(i, id)| FactSupport {
-                        id: id.raw(),
-                        fact: firing.facts.get(i).map(|f| f.to_string()).unwrap_or_default(),
-                        co_rules: Vec::new(),
-                    })
-                    .collect(),
+        provenance::attach(engine, engine.firings(), &mut sink, |firing, p| {
+            p.event_index = self.digests.len() as u64;
+            p.syscall = "digest-stream".to_string();
+            let Some(agg) = firing.fact_ids.iter().flatten().find_map(|id| roots.get(&id.raw()))
+            else {
+                return;
             };
             // The leaves: one per contributing session, rendered from
             // working memory (leaf facts are never retracted).
-            let agg = firing.fact_ids.iter().flatten().find_map(|id| roots.get(&id.raw()));
-            let mut taint_sources = Vec::new();
-            if let Some(agg) = agg {
-                for leaf in &agg.leaves {
-                    if let Some(fact) = engine.get_fact(*leaf) {
-                        support.push(FactSupport {
-                            id: leaf.raw(),
-                            fact: fact.to_string(),
-                            co_rules: Vec::new(),
-                        });
-                    }
+            for leaf in &agg.leaves {
+                if let Some(fact) = engine.get_fact(*leaf) {
+                    p.support.push(FactSupport {
+                        id: leaf.raw(),
+                        fact: fact.to_string(),
+                        co_rules: Vec::new(),
+                    });
                 }
-                taint_sources = agg
-                    .contributors
-                    .iter()
-                    .map(|(session, label)| format!("session-{session}({label})"))
-                    .collect();
             }
-            let provenance = Provenance {
-                event_index: self.digests.len() as u64,
-                syscall: "digest-stream".to_string(),
-                firing_seq: firing.seq as u64,
-                rule_chain: firings[..=at].iter().map(|f| f.rule.to_string()).collect(),
-                support,
-                taint_sources,
-            };
-            let mut enriched = (**slot).clone();
-            enriched.provenance = Some(Box::new(provenance));
-            *slot = Arc::new(enriched);
-        }
+            p.taint_sources = agg
+                .contributors
+                .iter()
+                .map(|(session, label)| format!("session-{session}({label})"))
+                .collect();
+        });
+    }
+}
+
+/// The program label a digest's facts carry: its own, or
+/// `session-<id>` when it was never registered.
+fn label_of(digest: &SessionDigest) -> String {
+    if digest.label.is_empty() {
+        format!("session-{}", digest.session)
+    } else {
+        digest.label.clone()
     }
 }
 

@@ -36,7 +36,6 @@
 
 mod compiled;
 mod correlate;
-mod cross_session;
 mod digest;
 mod policy;
 mod provenance;
@@ -45,7 +44,6 @@ mod session;
 mod warning;
 
 pub use correlate::{CorrelateConfig, CorrelationReport, Correlator};
-pub use cross_session::{BotnetReport, DropRecord, SessionHistory};
 pub use digest::{digest_session, DigestBuilder, DropIdentity, SessionDigest};
 pub use policy::{PolicyConfig, POLICY_CLIPS};
 pub use provenance::{FactSupport, Provenance};

@@ -14,6 +14,9 @@
 //! CLI surfaces as `hth explain <journal> <warning-idx>`.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
+
+use secpert_engine::{Engine, FiringRecord};
 
 use crate::warning::Warning;
 
@@ -103,6 +106,62 @@ impl Provenance {
             }
         }
         out
+    }
+}
+
+/// Pairs each of `warnings` with the firing in `firings` that issued it
+/// and swaps in a copy carrying its [`Provenance`]. Matching is by rule
+/// name, in order — policy rules call `warn` exactly once per firing.
+/// The shared part (firing, rule chain up to it, fire-time support) is
+/// filled here; `fill` adds the caller's own fields: the triggering
+/// event and taint sources, plus any support of its own.
+pub(crate) fn attach(
+    engine: &Engine,
+    firings: &[FiringRecord],
+    warnings: &mut [Arc<Warning>],
+    mut fill: impl FnMut(&FiringRecord, &mut Provenance),
+) {
+    let mut cursor = 0usize;
+    for slot in warnings {
+        let Some(offset) = firings[cursor..].iter().position(|f| *f.rule == *slot.rule) else {
+            continue;
+        };
+        let at = cursor + offset;
+        cursor = at + 1;
+        let firing = &firings[at];
+        // Fire-time support from the match network when available
+        // (Rete matcher); otherwise just the matched-fact snapshots.
+        let fact = |i: usize| firing.facts.get(i).map(|f| f.to_string()).unwrap_or_default();
+        let support: Vec<FactSupport> = match engine.support_for(firing.seq) {
+            Some(records) => records
+                .iter()
+                .enumerate()
+                .map(|(i, r)| FactSupport {
+                    id: r.fact,
+                    fact: fact(i),
+                    co_rules: r.co_rules.iter().map(|n| n.to_string()).collect(),
+                })
+                .collect(),
+            None => firing
+                .fact_ids
+                .iter()
+                .flatten()
+                .enumerate()
+                .map(|(i, id)| FactSupport { id: id.raw(), fact: fact(i), co_rules: Vec::new() })
+                .collect(),
+        };
+        let mut provenance = Provenance {
+            event_index: 0,
+            syscall: String::new(),
+            firing_seq: firing.seq as u64,
+            rule_chain: firings[..=at].iter().map(|f| f.rule.to_string()).collect(),
+            support,
+            taint_sources: Vec::new(),
+        };
+        fill(firing, &mut provenance);
+        let mut enriched = (**slot).clone();
+        enriched.provenance = Some(Box::new(provenance));
+        *slot = Arc::new(enriched);
     }
 }
 

@@ -12,7 +12,7 @@ use secpert_engine::{Engine, EngineError, Fact, FactBuilder, MatchStats, Value};
 
 use crate::compiled::CompiledPolicy;
 use crate::policy::PolicyConfig;
-use crate::provenance::{FactSupport, Provenance};
+use crate::provenance;
 use crate::warning::{Severity, Warning};
 
 /// Leading magic of a serialized [`Secpert::snapshot`].
@@ -168,9 +168,9 @@ impl Secpert {
     /// Feeds a batch of events through the rules; returns the warnings
     /// the batch produced, in event order. One event at a time through
     /// exactly the per-event path — `process_batch(&[e])` and
-    /// `process_event(&e)` are byte-identical — but the warning-sink
-    /// lock and the trace span are crossed once per batch instead of
-    /// once per event.
+    /// `process_event(&e)` are byte-identical. Only the trace span and
+    /// the final copy-out of the new warnings happen once per batch;
+    /// each event still takes the warning-sink lock on its own.
     ///
     /// # Errors
     ///
@@ -226,8 +226,7 @@ impl Secpert {
 
     /// Pairs each warning the current event produced with the firing
     /// that issued it and swaps a provenance-enriched copy into the
-    /// sink. Matching is by rule name over the event's firing tail, in
-    /// order — policy rules call `warn` exactly once per firing.
+    /// sink, matching over the event's firing tail.
     fn attach_provenance(
         &self,
         event: &SecpertEvent,
@@ -245,50 +244,11 @@ impl Secpert {
             return;
         }
         let taint_sources = taint_sources_of(event);
-        let mut cursor = 0usize;
-        for slot in sink[warnings_before..].iter_mut() {
-            let Some(offset) = firings[cursor..].iter().position(|f| *f.rule == *slot.rule) else {
-                continue;
-            };
-            let at = cursor + offset;
-            cursor = at + 1;
-            let firing = &firings[at];
-            // Fire-time support from the match network when available
-            // (Rete matcher); otherwise just the matched-fact snapshots.
-            let support: Vec<FactSupport> = match self.engine.support_for(firing.seq) {
-                Some(records) => records
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| FactSupport {
-                        id: r.fact,
-                        fact: firing.facts.get(i).map(|f| f.to_string()).unwrap_or_default(),
-                        co_rules: r.co_rules.iter().map(|n| n.to_string()).collect(),
-                    })
-                    .collect(),
-                None => firing
-                    .fact_ids
-                    .iter()
-                    .flatten()
-                    .enumerate()
-                    .map(|(i, id)| FactSupport {
-                        id: id.raw(),
-                        fact: firing.facts.get(i).map(|f| f.to_string()).unwrap_or_default(),
-                        co_rules: Vec::new(),
-                    })
-                    .collect(),
-            };
-            let provenance = Provenance {
-                event_index: self.events_processed,
-                syscall: event.syscall().to_string(),
-                firing_seq: firing.seq as u64,
-                rule_chain: firings[..=at].iter().map(|f| f.rule.to_string()).collect(),
-                support,
-                taint_sources: taint_sources.clone(),
-            };
-            let mut enriched = (**slot).clone();
-            enriched.provenance = Some(Box::new(provenance));
-            *slot = Arc::new(enriched);
-        }
+        provenance::attach(&self.engine, firings, &mut sink[warnings_before..], |_, p| {
+            p.event_index = self.events_processed;
+            p.syscall = event.syscall().to_string();
+            p.taint_sources = taint_sources.clone();
+        });
     }
 
     /// All warnings issued so far.

@@ -32,7 +32,7 @@
 //! + discarded` holds for every shard, always.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -641,7 +641,10 @@ fn process(
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
         if faults.is_some_and(|f| f.should_panic(shard, nth)) {
-            panic!("injected fault: shard {shard} event {nth}");
+            // Unwinds with a panic's `String` payload but without the
+            // panic hook: an injected fault's only report is the
+            // quarantine's own diagnostics.
+            resume_unwind(Box::new(format!("injected fault: shard {shard} event {nth}")));
         }
         engine.process_event(&event)
     }));

