@@ -1,6 +1,6 @@
 //! The syscall ABI, defined exactly once.
 //!
-//! [`define_syscalls!`] takes one table of `{number, name, arg kinds,
+//! `define_syscalls!` takes one table of `{number, name, arg kinds,
 //! handler, effect schema}` rows and generates every surface that used
 //! to be hand-maintained in five places:
 //!
@@ -64,8 +64,8 @@ pub struct SyscallDef {
     pub name: &'static str,
     /// Declared argument kinds, in `ebx`, `ecx`, `edx` order.
     pub args: &'static [ArgKind],
-    /// Effect schema: which [`SyscallEffect`](crate::kernel::SyscallEffect)
-    /// variants the handler may report (documentation / DESIGN.md).
+    /// Effect schema: which [`SyscallEffect`] variants the handler may
+    /// report (documentation / DESIGN.md).
     pub effect: &'static str,
 }
 

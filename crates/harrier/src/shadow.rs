@@ -130,7 +130,7 @@ impl Shadow {
     }
 
     /// Sets `len` bytes to the same tag. Fully covered pages collapse to
-    /// [`Page::Uniform`] (or are dropped when clearing) without touching
+    /// one uniform tag (or are dropped when clearing) without touching
     /// per-byte state.
     pub fn set_range(&mut self, addr: u32, len: u32, tag: TagRef) {
         let mut cur = addr;

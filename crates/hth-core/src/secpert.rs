@@ -305,16 +305,34 @@ impl Secpert {
     }
 
     /// Rebuilds an expert from [`Secpert::snapshot`] bytes, against the
-    /// same policy configuration the snapshot was taken under. Events
-    /// processed after this pick up exactly where the snapshotted expert
-    /// left off (fact ids, firing seqs, provenance event indices).
+    /// same policy configuration the snapshot was taken under:
+    /// [`Secpert::new`] then [`Secpert::resume`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Secpert::resume`], plus [`SnapshotError::Engine`] when the
+    /// policy fails to load.
+    pub fn restore(config: &PolicyConfig, bytes: &[u8]) -> Result<Secpert, SnapshotError> {
+        let mut expert = Secpert::new(config)?;
+        expert.resume(bytes)?;
+        Ok(expert)
+    }
+
+    /// Loads [`Secpert::snapshot`] bytes into this expert, which must
+    /// not have processed an event yet and must carry the rules and
+    /// templates the snapshotted one did: built from the same
+    /// configuration and extended the same way (an expert armed by
+    /// [`crate::Correlator::arm`] resumes into a fresh expert armed by
+    /// the same correlator). Events processed after this pick up exactly
+    /// where the snapshotted expert left off (fact ids, firing seqs,
+    /// provenance event indices).
     ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] for torn or corrupt bytes (callers
     /// fall back to a full journal replay); [`SnapshotError::Engine`]
-    /// when the snapshot disagrees with the policy.
-    pub fn restore(config: &PolicyConfig, bytes: &[u8]) -> Result<Secpert, SnapshotError> {
+    /// when the snapshot names a template or rule this expert lacks.
+    pub fn resume(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let version = codec::read_header(bytes, SNAPSHOT_MAGIC)
             .map_err(|_| SnapshotError::Corrupt("not a Secpert snapshot (bad magic)".into()))?;
         if version != SNAPSHOT_VERSION {
@@ -332,10 +350,9 @@ impl Secpert {
         }
         let events_processed = payload.varint()?;
         let engine_snap = EngineSnapshot::decode(payload.rest())?;
-        let mut expert = Secpert::new(config)?;
-        expert.engine.restore(&engine_snap)?;
-        expert.events_processed = events_processed;
-        Ok(expert)
+        self.engine.restore(&engine_snap)?;
+        self.events_processed = events_processed;
+        Ok(())
     }
 
     /// Approximate resident bytes attributable to this expert's event

@@ -38,11 +38,6 @@ pub struct SessionConfig {
     /// tracking is switched off for the run — the origin information it
     /// would compute cannot implicate a hardcoded resource anyway.
     pub hybrid_static_analysis: bool,
-    /// Flight-recorder ring capacity: the session keeps this many
-    /// recent events, always on, and snapshots them into a
-    /// [`hth_trace::DiagnosticBundle`] when an inline High warning
-    /// fires (see [`Session::diagnostic_bundles`]). `0` disables it.
-    pub flight_capacity: usize,
 }
 
 impl Default for SessionConfig {
@@ -56,7 +51,6 @@ impl Default for SessionConfig {
             record_events: true,
             analyze_inline: true,
             hybrid_static_analysis: false,
-            flight_capacity: hth_trace::DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -160,8 +154,6 @@ pub struct Session {
     taps: Vec<EventTap>,
     config: SessionConfig,
     instructions: u64,
-    flight: Option<hth_trace::FlightRecorder>,
-    bundles: hth_trace::BundleRing,
 }
 
 impl Session {
@@ -179,9 +171,6 @@ impl Session {
             warnings: Vec::new(),
             events: Vec::new(),
             taps: Vec::new(),
-            flight: (config.flight_capacity > 0)
-                .then(|| hth_trace::FlightRecorder::new(config.flight_capacity)),
-            bundles: hth_trace::BundleRing::default(),
             config,
             instructions: 0,
         })
@@ -332,32 +321,16 @@ impl Session {
         // Events are generated before an exec replaces the image, so
         // origins are read from the *current* shadow state.
         let events = self.harrier.on_syscall(&self.procs[idx], &record, &self.kernel);
-        let mut fired_high: Vec<Warning> = Vec::new();
         for event in &events {
             for tap in &mut self.taps {
                 tap(event);
             }
-            if let Some(flight) = &self.flight {
-                flight.record(
-                    u64::from(event.pid()),
-                    event.time(),
-                    "event",
-                    event.syscall(),
-                    event.resource_name(),
-                );
-            }
             if self.config.analyze_inline {
-                let warnings = self.secpert.process_event(event)?;
-                fired_high
-                    .extend(warnings.iter().filter(|w| w.severity == Severity::High).cloned());
-                self.warnings.extend(warnings);
+                self.warnings.extend(self.secpert.process_event(event)?);
             }
         }
         if self.config.record_events {
             self.events.extend(events);
-        }
-        for warning in &fired_high {
-            self.capture_warning_bundle(warning);
         }
         if let Some(path) = exec_to {
             let argv_owned = [path.clone()];
@@ -387,45 +360,6 @@ impl Session {
             victim.state = ProcState::Exited(128 + sig as i32);
             self.harrier.detach(pid);
         }
-    }
-
-    /// Snapshots the flight recorder into a warning-triggered
-    /// diagnostic bundle carrying the session's metrics and the
-    /// warning's rendered provenance tree.
-    fn capture_warning_bundle(&mut self, warning: &Warning) {
-        let Some(flight) = &self.flight else {
-            return;
-        };
-        let provenance: Vec<String> = warning
-            .provenance
-            .as_ref()
-            .map(|p| p.render_tree(warning))
-            .unwrap_or_default()
-            .lines()
-            .map(str::to_string)
-            .collect();
-        let bundle = flight.capture(
-            "session",
-            hth_trace::Trigger::Warning {
-                rule: warning.rule.clone(),
-                severity: warning.severity.label().to_string(),
-            },
-            self.metrics(),
-            provenance,
-        );
-        self.bundles.push(bundle);
-    }
-
-    /// The session's always-on flight recorder (`None` when
-    /// [`SessionConfig::flight_capacity`] is 0).
-    pub fn flight_recorder(&self) -> Option<&hth_trace::FlightRecorder> {
-        self.flight.as_ref()
-    }
-
-    /// Diagnostic bundles captured so far (inline High warnings),
-    /// oldest first.
-    pub fn diagnostic_bundles(&self) -> Vec<std::sync::Arc<hth_trace::DiagnosticBundle>> {
-        self.bundles.list()
     }
 
     /// Attaches an event tap: it sees every Harrier event as it is

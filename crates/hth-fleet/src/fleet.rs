@@ -95,7 +95,7 @@ pub struct FleetReport {
     pub correlation: Option<CorrelationReport>,
     /// Diagnostic bundles the shards' flight recorders captured (one
     /// per quarantine), shard order.
-    pub bundles: Vec<std::sync::Arc<hth_trace::DiagnosticBundle>>,
+    pub bundles: Vec<hth_trace::DiagnosticBundle>,
 }
 
 impl FleetReport {

@@ -24,12 +24,14 @@
 //!
 //! Supervision: a panic inside the engine (or injected by a
 //! [`FaultPlan`]) is caught with `catch_unwind`, the offending event is
-//! *quarantined* (counted, described, optionally kept), and the shard
-//! respawns a fresh `Secpert` — up to [`PoolConfig::max_respawns`]
-//! times. Past the budget the shard degrades to drain-and-discard so
-//! blocked submitters can never deadlock on a dead analyst. Every loss
-//! path has a counter: `submitted == analysed + dropped + quarantined
-//! + discarded` holds for every shard, always.
+//! *quarantined* (counted, described, optionally kept, and captured in
+//! a diagnostic bundle from the shard's always-on [`FlightRecorder`]),
+//! and the shard respawns a fresh `Secpert` — up to
+//! [`PoolConfig::max_respawns`] times. Past the budget the shard
+//! degrades to drain-and-discard so blocked submitters can never
+//! deadlock on a dead analyst. Every loss path has a counter:
+//! `submitted == analysed + dropped + quarantined + discarded` holds
+//! for every shard, always.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -38,9 +40,7 @@ use std::thread::JoinHandle;
 
 use harrier::SecpertEvent;
 use hth_core::{DigestBuilder, PolicyConfig, Secpert, SessionDigest, Warning};
-use hth_trace::{
-    BundleRing, DiagLevel, DiagnosticBundle, FlightRecorder, MetricsSnapshot, Trigger,
-};
+use hth_trace::{DiagLevel, DiagnosticBundle, FlightRecorder, MetricsSnapshot, Trigger};
 use secpert_engine::{EngineError, MatchStats};
 
 use crate::digest_wire::{read_digest_stream, write_digest_stream};
@@ -82,16 +82,6 @@ pub struct PoolConfig {
     /// final report — exact loss accounting for tests; off by default
     /// because it is unbounded memory under sustained loss.
     pub keep_lost_events: bool,
-    /// Per-shard flight-recorder ring capacity: each analyst keeps this
-    /// many recent events for diagnostic bundles, always on (the
-    /// pipeline bench gates its overhead at ≤2%). `0` disables the
-    /// recorder entirely — that exists for the bench's baseline
-    /// measurement, not for production.
-    pub flight_capacity: usize,
-    /// Retention ring for captured diagnostic bundles; share one to see
-    /// several pools in one place (a serving layer's bundle index). A
-    /// private ring is created when unset.
-    pub bundles: Option<Arc<BundleRing>>,
 }
 
 impl Default for PoolConfig {
@@ -103,8 +93,6 @@ impl Default for PoolConfig {
             max_respawns: 3,
             faults: None,
             keep_lost_events: false,
-            flight_capacity: hth_trace::DEFAULT_FLIGHT_CAPACITY,
-            bundles: None,
         }
     }
 }
@@ -183,9 +171,8 @@ pub struct PoolReport {
     /// an empty label (the correlator renders them `session-<id>`).
     pub digests: Vec<SessionDigest>,
     /// Diagnostic bundles captured during the run (one per
-    /// quarantine), in shard order, also retained in the pool's
-    /// [`BundleRing`].
-    pub bundles: Vec<Arc<DiagnosticBundle>>,
+    /// quarantine), in shard order; each `id` is its index here.
+    pub bundles: Vec<DiagnosticBundle>,
 }
 
 impl PoolReport {
@@ -260,8 +247,6 @@ pub struct AnalystPool {
     /// serve client's hello). Workers never read this — labels are
     /// applied when the digests are merged in [`AnalystPool::finish`].
     labels: Mutex<BTreeMap<SessionId, String>>,
-    /// Where captured diagnostic bundles are retained.
-    bundles: Arc<BundleRing>,
 }
 
 impl AnalystPool {
@@ -311,8 +296,7 @@ impl AnalystPool {
                     faults: config.faults.clone(),
                     max_respawns: config.max_respawns,
                     keep_lost_events: config.keep_lost_events,
-                    flight: (config.flight_capacity > 0)
-                        .then(|| FlightRecorder::new(config.flight_capacity)),
+                    flight: FlightRecorder::default(),
                 };
                 std::thread::spawn(move || analyst_loop(engine, &queue, supervisor))
             })
@@ -324,13 +308,7 @@ impl AnalystPool {
             backpressure: config.backpressure,
             keep_lost_events: config.keep_lost_events,
             labels: Mutex::new(BTreeMap::new()),
-            bundles: config.bundles.clone().unwrap_or_default(),
         })
-    }
-
-    /// The retention ring captured diagnostic bundles land in.
-    pub fn bundle_ring(&self) -> &Arc<BundleRing> {
-        &self.bundles
     }
 
     /// Number of shards.
@@ -483,8 +461,9 @@ impl AnalystPool {
                 report.lost_events.extend(leftover_events);
             }
             report.warnings.extend(outcome.warnings);
-            for bundle in outcome.bundles {
-                report.bundles.push(self.bundles.push(bundle));
+            for mut bundle in outcome.bundles {
+                bundle.id = report.bundles.len() as u64;
+                report.bundles.push(bundle);
             }
             // Decode the shard's digest stream exactly as a remote
             // correlator would. A shard whose stream fails to decode is
@@ -534,9 +513,8 @@ struct Supervisor {
     faults: Option<Arc<FaultPlan>>,
     max_respawns: u32,
     keep_lost_events: bool,
-    /// Always-on per-shard flight recorder (`None` only when
-    /// `PoolConfig::flight_capacity` is 0 — the bench baseline).
-    flight: Option<FlightRecorder>,
+    /// The shard's always-on flight recorder.
+    flight: FlightRecorder,
 }
 
 enum Analyst {
@@ -592,9 +570,7 @@ fn analyst_loop(engine: Secpert, queue: &ShardQueue, supervisor: Supervisor) -> 
             nth += 1;
             process(&mut analyst, &mut outcome, &supervisor, session, event, nth);
         }
-        if let Some(flight) = &supervisor.flight {
-            flight.stage("pool.batch", drained_at.elapsed().as_nanos() as u64);
-        }
+        supervisor.flight.stage("pool.batch", drained_at.elapsed().as_nanos() as u64);
     }
 }
 
@@ -651,15 +627,13 @@ fn process(
     match result {
         Ok(Ok(warnings)) => {
             outcome.events += 1;
-            if let Some(flight) = &supervisor.flight {
-                flight.record(
-                    session,
-                    event.time(),
-                    "event",
-                    event.syscall(),
-                    event.resource_name(),
-                );
-            }
+            supervisor.flight.record(
+                session,
+                event.time(),
+                "event",
+                event.syscall(),
+                event.resource_name(),
+            );
             let digest = outcome.digest(session);
             digest.observe(&event);
             for warning in &warnings {
@@ -761,17 +735,16 @@ fn quarantine(
             }
         }
     }
-    if let Some(flight) = &supervisor.flight {
-        flight.record(session, event.time(), "fault", event.syscall(), &message);
-        let mut stats = MetricsSnapshot::new();
-        shard_stats_snapshot(&mut stats, outcome, analyst);
-        outcome.bundles.push(flight.capture(
-            &component,
-            Trigger::Quarantine { shard, event_nth, message },
-            stats,
-            Vec::new(),
-        ));
-    }
+    let flight = &supervisor.flight;
+    flight.record(session, event.time(), "fault", event.syscall(), &message);
+    let mut stats = MetricsSnapshot::new();
+    shard_stats_snapshot(&mut stats, outcome, analyst);
+    outcome.bundles.push(flight.capture(
+        &component,
+        Trigger::Quarantine { shard, event_nth, message },
+        stats,
+        Vec::new(),
+    ));
 }
 
 #[cfg(test)]

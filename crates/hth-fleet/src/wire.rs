@@ -107,11 +107,6 @@ impl EventEncoder {
         EventEncoder { strings: Interner::default(), version }
     }
 
-    /// Number of distinct strings interned so far.
-    pub fn interned_strings(&self) -> usize {
-        self.strings.count()
-    }
-
     /// Appends one event's encoding to `out`.
     pub fn encode(&mut self, event: &SecpertEvent, out: &mut Vec<u8>) {
         match event {

@@ -26,6 +26,11 @@
 //! snapshot suite proves evict-at-*k* + resume is byte-identical to an
 //! uninterrupted run, so the table may evict *any* session at *any*
 //! request boundary without changing a single warning.
+//!
+//! The table owns the daemon's always-on [`FlightRecorder`]: every
+//! accepted event goes into its ring, and a High warning, a fallback
+//! replay or a protocol drop snapshots the ring into a diagnostic
+//! bundle that `/bundles` and `/statusz` serve.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -39,10 +44,7 @@ use hth_core::{
 };
 use hth_fleet::journal::{recover, JournalWriter};
 use hth_fleet::{read_digest_stream, write_digest_stream, FaultPlan};
-use hth_trace::{
-    BundleRing, DiagLevel, FlightRecorder, Histogram, MetricsSnapshot, Trigger,
-    DEFAULT_FLIGHT_CAPACITY,
-};
+use hth_trace::{BundleRing, DiagLevel, FlightRecorder, Histogram, MetricsSnapshot, Trigger};
 
 use crate::protocol::ServeStats;
 use crate::status::{SessionRow, StatusReport};
@@ -88,10 +90,6 @@ pub struct TableConfig {
     /// taken (and in the drain summary). `None` keeps digest collection
     /// on but skips correlation.
     pub correlate: Option<CorrelateConfig>,
-    /// Flight-recorder ring capacity (recent events retained for
-    /// diagnostic bundles). Zero disables the recorder; that exists for
-    /// overhead baselines, production tables keep it on.
-    pub flight_capacity: usize,
 }
 
 impl Default for TableConfig {
@@ -102,7 +100,6 @@ impl Default for TableConfig {
             idle_timeout: None,
             faults: Arc::new(FaultPlan::new()),
             correlate: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -152,10 +149,10 @@ struct TableState {
 pub struct SessionTable {
     inner: Mutex<TableState>,
     config: TableConfig,
-    /// Always-on flight recorder (`None` only at `flight_capacity: 0`).
-    flight: Option<FlightRecorder>,
+    /// Always-on flight recorder: the tail every bundle captures.
+    flight: FlightRecorder,
     /// Retained diagnostic bundles, `/bundles/<n>`-indexable.
-    bundles: Arc<BundleRing>,
+    bundles: BundleRing,
     /// Server-side ack latency in microseconds (decode to ack written).
     ack_latency: Mutex<Histogram>,
 }
@@ -164,9 +161,8 @@ impl SessionTable {
     /// An empty table.
     pub fn new(config: TableConfig) -> SessionTable {
         SessionTable {
-            flight: (config.flight_capacity > 0)
-                .then(|| FlightRecorder::new(config.flight_capacity)),
-            bundles: Arc::new(BundleRing::default()),
+            flight: FlightRecorder::default(),
+            bundles: BundleRing::default(),
             ack_latency: Mutex::new(Histogram::default()),
             inner: Mutex::new(TableState {
                 slots: BTreeMap::new(),
@@ -221,28 +217,23 @@ impl SessionTable {
         }
         st.events_total += 1;
         st.warnings_total += raised;
-        if let Some(flight) = &self.flight {
-            flight.record(sid, event.time(), "event", event.syscall(), event.resource_name());
-            for w in warnings.iter().filter(|w| w.severity == Severity::High) {
-                let provenance: Vec<String> = w
-                    .provenance
-                    .as_ref()
-                    .map(|p| p.render_tree(w))
-                    .unwrap_or_default()
-                    .lines()
-                    .map(str::to_string)
-                    .collect();
-                let stats = self.snapshot_locked(&st);
-                self.bundles.push(flight.capture(
-                    "serve.table",
-                    Trigger::Warning {
-                        rule: w.rule.clone(),
-                        severity: w.severity.label().to_string(),
-                    },
-                    stats,
-                    provenance,
-                ));
-            }
+        self.flight.record(sid, event.time(), "event", event.syscall(), event.resource_name());
+        for w in warnings.iter().filter(|w| w.severity == Severity::High) {
+            let provenance: Vec<String> = w
+                .provenance
+                .as_ref()
+                .map(|p| p.render_tree(w))
+                .unwrap_or_default()
+                .lines()
+                .map(str::to_string)
+                .collect();
+            let stats = self.snapshot_locked(&st);
+            self.bundles.push(self.flight.capture(
+                "serve.table",
+                Trigger::Warning { rule: w.rule.clone(), severity: w.severity.label().to_string() },
+                stats,
+                provenance,
+            ));
         }
         self.touch(&mut st, sid);
         self.enforce(&mut st)?;
@@ -438,13 +429,8 @@ impl SessionTable {
         self.ack_latency.lock().unwrap_or_else(PoisonError::into_inner).observe(micros);
     }
 
-    /// The table's flight recorder (`None` at `flight_capacity: 0`).
-    pub fn flight_recorder(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
-    }
-
     /// The retained diagnostic bundles (`/bundles/<n>` indexes these).
-    pub fn bundle_ring(&self) -> &Arc<BundleRing> {
+    pub fn bundle_ring(&self) -> &BundleRing {
         &self.bundles
     }
 
@@ -457,12 +443,11 @@ impl SessionTable {
             "serve.conn",
             &format!("dropping connection: {error}"),
         );
-        let Some(flight) = &self.flight else { return };
         let stats = {
             let st = self.lock();
             self.snapshot_locked(&st)
         };
-        self.bundles.push(flight.capture(
+        self.bundles.push(self.flight.capture(
             "serve.conn",
             Trigger::ProtocolDrop { error: error.to_string() },
             stats,
@@ -653,15 +638,13 @@ impl SessionTable {
                     events.len()
                 ),
             );
-            if let Some(flight) = &self.flight {
-                let stats = self.snapshot_locked(st);
-                self.bundles.push(flight.capture(
-                    "serve.table",
-                    Trigger::RestoreFallback { session: sid },
-                    stats,
-                    Vec::new(),
-                ));
-            }
+            let stats = self.snapshot_locked(st);
+            self.bundles.push(self.flight.capture(
+                "serve.table",
+                Trigger::RestoreFallback { session: sid },
+                stats,
+                Vec::new(),
+            ));
         }
         let resident = st.slots.values().filter(|s| s.expert.is_some()).count() as u64;
         st.resident_high_water = st.resident_high_water.max(resident);

@@ -10,18 +10,20 @@
 //! records (recent decoded events, faults, requests) plus coarse
 //! per-stage timing accumulators. Recording is allocation-free: entries
 //! hold fixed-capacity inline strings ([`SmallStr`]), so the hot path
-//! pays one uncontended mutex and a memcpy. Each shard of an analyst
-//! pool and each serve-daemon table owns its own recorder, so there is
-//! no cross-thread contention.
+//! pays one uncontended mutex and a memcpy. Only owners whose bundles
+//! someone reads keep a recorder: each shard of an analyst pool and
+//! each serve-daemon table owns its own, at [`DEFAULT_FLIGHT_CAPACITY`],
+//! so there is no cross-thread contention.
 //!
-//! When a trigger fires — a high-severity warning, a shard quarantine,
-//! a torn-snapshot fallback, or a protocol drop ([`Trigger`]) — the
-//! owner snapshots the ring together with its current stats into a
-//! [`DiagnosticBundle`]: the event tail, stage timings, a metrics
-//! snapshot plus the delta since the previous capture, and the
-//! triggering warning's rendered provenance. Bundles are retained in a
-//! bounded [`BundleRing`] (fetchable over the serve daemon's
-//! `/bundles/<n>` endpoint, dumpable to disk as JSON).
+//! When a trigger fires — a shard quarantine, or on the serve table a
+//! high-severity warning, a torn-snapshot fallback or a protocol drop
+//! ([`Trigger`]) — the owner snapshots the ring together with its
+//! current stats into a [`DiagnosticBundle`]: the event tail, stage
+//! timings, a metrics snapshot plus the delta since the previous
+//! capture, and the triggering warning's rendered provenance. A pool
+//! hands its bundles out in its report (dumpable to disk as JSON); the
+//! table retains its own in a bounded [`BundleRing`], fetchable over
+//! the serve daemon's `/bundles/<n>` endpoint.
 //!
 //! [`DiagnosticBundle::render`] is deliberately restricted to the
 //! deterministic fields (trigger, event tail, provenance) so that a
@@ -317,8 +319,9 @@ impl FlightRecorder {
 /// split.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiagnosticBundle {
-    /// Ordinal. Assigned per recorder at capture; re-assigned to the
-    /// retention-ring ordinal when pushed into a [`BundleRing`].
+    /// Ordinal. Assigned per recorder at capture; re-assigned where
+    /// several recorders' bundles meet: the retention-ring ordinal when
+    /// pushed into a [`BundleRing`], the index in a pool's report.
     pub id: u64,
     /// Who captured it (`pool.shard3`, `serve.table`, …).
     pub component: String,
@@ -478,9 +481,8 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// Bounded retention of captured bundles, oldest evicted first. Shared
-/// (`Arc`) between the capturing components and whoever serves or dumps
-/// them.
+/// Bounded retention of captured bundles, oldest evicted first: what a
+/// serve table captures and its `/bundles` endpoint serves.
 #[derive(Debug)]
 pub struct BundleRing {
     capacity: usize,

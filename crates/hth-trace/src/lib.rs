@@ -1,6 +1,6 @@
 //! # hth-trace — observability plumbing for the HTH pipeline
 //!
-//! Three small, dependency-free pillars shared by every other crate:
+//! Four small, dependency-free pillars shared by every other crate:
 //!
 //! * **Tracing** ([`trace`]): span/instant events pushed into per-thread
 //!   fixed-capacity ring buffers behind a single atomic enabled flag.
@@ -16,7 +16,8 @@
 //!   recent events and coarse stage timings — independent of the
 //!   tracer's enabled gate — snapshotted into serializable
 //!   [`DiagnosticBundle`]s when a trigger fires (warning, quarantine,
-//!   restore fallback, protocol drop).
+//!   restore fallback, protocol drop). Each analyst-pool shard and each
+//!   serve table owns one; nothing else does.
 //! * **Diagnostics log** ([`diag`]): structured `level + component +
 //!   message` lines through a token-bucket rate limit, giving the
 //!   previously-silent failure paths a bounded voice.

@@ -184,8 +184,6 @@ pub struct Engine {
     natives: FxHashMap<Arc<str>, NativeFn>,
     userfns: FxHashMap<Arc<str>, Arc<UserFn>>,
     strategy: Strategy,
-    watch: bool,
-    trace: Vec<String>,
     deffacts: Vec<Fact>,
     /// Salience-bucketed, seq-ordered agenda: keys are `(salience, seq)`,
     /// so the Depth pick is the last entry and the Breadth pick is the
@@ -236,8 +234,6 @@ impl Engine {
             natives: FxHashMap::default(),
             userfns: FxHashMap::default(),
             strategy: Strategy::Depth,
-            watch: false,
-            trace: Vec::new(),
             deffacts: Vec::new(),
             agenda: BTreeMap::new(),
             agenda_keys: FxHashMap::default(),
@@ -395,18 +391,6 @@ impl Engine {
         self.strategy = strategy;
     }
 
-    /// Enables/disables CLIPS-style watch tracing of asserts, retracts
-    /// and firings.
-    pub fn set_watch(&mut self, on: bool) {
-        self.watch = on;
-    }
-
-    /// Takes and clears the watch trace (one line per event, CLIPS
-    /// shapes: `==> f-3 (…)`, `<== f-3 (…)`, `FIRE 1 rule: f-3`).
-    pub fn take_trace(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Registers a native function callable from rules.
     pub fn register_fn(
         &mut self,
@@ -456,10 +440,6 @@ impl Engine {
         let Some(id) = self.wm.assert(fact) else {
             return Ok(None);
         };
-        if self.watch {
-            let rendered = self.wm.get(id).map(|f| f.to_string()).unwrap_or_default();
-            self.trace.push(format!("==> {id} {rendered}"));
-        }
         self.on_assert(id)?;
         Ok(Some(id))
     }
@@ -471,9 +451,6 @@ impl Engine {
     /// Returns [`EngineError::NoSuchFact`] for dead ids.
     pub fn retract_fact(&mut self, id: FactId) -> Result<()> {
         let fact = self.wm.retract(id)?;
-        if self.watch {
-            self.trace.push(format!("<== {id} {fact}"));
-        }
         self.on_retract(id, fact.template().name())?;
         Ok(())
     }
@@ -764,15 +741,6 @@ impl Engine {
     fn fire(&mut self, act: Activation) -> Result<()> {
         self.refraction.insert((act.rule, act.facts.clone()));
         let rule = self.rules[act.rule].clone();
-        if self.watch {
-            let ids: Vec<String> = act.facts.iter().flatten().map(|id| id.to_string()).collect();
-            self.trace.push(format!(
-                "FIRE {} {}: {}",
-                self.fired_total + 1,
-                rule.name(),
-                ids.join(",")
-            ));
-        }
         let fact_snapshots: Vec<Arc<Fact>> =
             act.facts.iter().flatten().filter_map(|id| self.wm.get(*id).cloned()).collect();
         // Support is a picture of the match network *at fire time*: the
@@ -840,13 +808,6 @@ impl Engine {
     /// unknown, or the naive matcher is active.
     pub fn support_for(&self, seq: usize) -> Option<&[FactSupportRecord]> {
         self.support_log.get(&seq).map(Vec::as_slice)
-    }
-
-    /// Names of rules whose live (partial or complete) matches currently
-    /// consume fact `id`, straight from the match network's fact -> token
-    /// back-references. Empty under the naive matcher.
-    pub fn rules_using_fact(&self, id: FactId) -> Vec<&str> {
-        self.rete.rules_using(id).into_iter().map(|prod| self.rules[prod].name()).collect()
     }
 
     /// Total rules fired over the engine's lifetime.
@@ -957,7 +918,6 @@ impl Engine {
         self.pending_output.clear();
         self.firings.clear();
         self.support_log.clear();
-        self.trace.clear();
         if self.matcher == Matcher::Rete {
             let mut host = MatchHost {
                 globals: &self.globals,
@@ -973,12 +933,7 @@ impl Engine {
             let idx = self.rule_names[rule];
             self.refraction.insert((idx, tuple.iter().map(|s| s.map(FactId::from_raw)).collect()));
         }
-        // Watch tracing off for the replay: these asserts are
-        // reconstruction, not new activity.
-        let watch = std::mem::replace(&mut self.watch, false);
-        let replayed = self.restore_facts(snap);
-        self.watch = watch;
-        replayed?;
+        self.restore_facts(snap)?;
         if !self.agenda.is_empty() {
             return Err(EngineError::Type {
                 expected: "empty agenda after restore",
@@ -1009,7 +964,7 @@ impl Engine {
 
     /// Approximate resident bytes attributable to this engine's event
     /// stream: working memory, match-network tokens and memories,
-    /// refraction keys, transcript, trace, and firing records. The rule
+    /// refraction keys, transcript, and firing records. The rule
     /// base and templates are excluded — they are fixed per policy and
     /// shared across sessions, not a per-session growth surface.
     pub fn approx_bytes(&self) -> usize {
@@ -1017,7 +972,6 @@ impl Engine {
         bytes += self.refraction.iter().map(|(_, tuple)| 32 + tuple.len() * 16).sum::<usize>();
         bytes += self.agenda_keys.len() * 64;
         bytes += self.transcript.len() + self.pending_output.len();
-        bytes += self.trace.iter().map(|line| line.len() + 24).sum::<usize>();
         for firing in &self.firings {
             bytes += std::mem::size_of::<FiringRecord>()
                 + firing.output.len()

@@ -1,5 +1,4 @@
-//! Tests for `deffunction`, conflict-resolution strategies, and the
-//! watch trace.
+//! Tests for `deffunction` and conflict-resolution strategies.
 
 use secpert_engine::{Engine, Strategy, Value};
 
@@ -108,36 +107,6 @@ fn strategy_depth_vs_breadth() {
         engine.run(None).unwrap();
         assert_eq!(engine.take_output(), expected, "{strategy:?}");
     }
-}
-
-#[test]
-fn watch_trace_records_lifecycle() {
-    let mut engine = Engine::new();
-    engine
-        .load_str(
-            r"
-            (deftemplate ev (slot n))
-            (defrule consume
-              ?e <- (ev)
-              =>
-              (retract ?e))
-            ",
-        )
-        .unwrap();
-    engine.set_watch(true);
-    engine.assert_str("(ev (n 7))").unwrap();
-    engine.run(None).unwrap();
-    let trace = engine.take_trace();
-    assert_eq!(trace.len(), 3, "{trace:?}");
-    assert!(trace[0].starts_with("==> f-"), "{}", trace[0]);
-    assert!(trace[0].contains("(ev (n 7))"));
-    assert!(trace[1].starts_with("FIRE 1 consume:"), "{}", trace[1]);
-    assert!(trace[2].starts_with("<== f-"), "{}", trace[2]);
-    // Watch off: no further trace.
-    engine.set_watch(false);
-    engine.assert_str("(ev (n 8))").unwrap();
-    engine.run(None).unwrap();
-    assert!(engine.take_trace().is_empty());
 }
 
 #[test]

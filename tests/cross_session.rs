@@ -8,12 +8,14 @@
 //! executing the file there, or sending it to a socket, warns High
 //! even though the later session's own policy sees only a user-named
 //! file. Item 3: distinct programs hardcoding one endpoint are a bot
-//! network, reported by the correlator's `shared_c2` rule.
+//! network, reported by the correlator's `shared_c2` rule. An armed
+//! expert's snapshot resumes into an expert armed the same way.
 
 use hth::emukernel::{Endpoint, FileNode, Peer};
+use hth::harrier::SecpertEvent;
 use hth::hth_core::{digest_session, CorrelateConfig, Correlator, DropIdentity, SessionDigest};
 use hth::secpert_engine::EngineError;
-use hth::{Session, SessionConfig, Severity, Warning};
+use hth::{PolicyConfig, Secpert, Session, SessionConfig, Severity, Warning};
 
 /// Fetches 8 bytes from a hardcoded mirror into `/tmp/update`.
 const DOWNLOADER: &str = r#"
@@ -303,4 +305,59 @@ fn sending_a_dropped_file_to_a_socket_is_high() {
     assert_eq!(read[0].severity, Severity::High);
     assert!(read[0].message.contains("/tmp/update"), "{}", read[0].message);
     assert!(read[0].message.contains("/bin/downloader"), "{}", read[0].message);
+}
+
+/// The events of the exfiltrator, then the launcher, both on
+/// `/tmp/update`, captured without analysis.
+fn exfil_then_launch() -> Vec<SecpertEvent> {
+    let config = SessionConfig { analyze_inline: false, ..SessionConfig::default() };
+    let mut exfil = Session::new(config.clone()).unwrap();
+    exfil.kernel.vfs.install("/tmp/update", FileNode::regular(b"PAYLOAD\0".to_vec()));
+    exfil.kernel.net.add_peer(Endpoint { ip: 9, port: 9 }, Peer::default());
+    run(&mut exfil, "/bin/exfil", EXFIL, &["/bin/exfil", "/tmp/update"]);
+    let mut launcher = Session::new(config).unwrap();
+    run(&mut launcher, "/bin/launcher", LAUNCHER, &["/bin/launcher", "/tmp/update"]);
+    exfil.events().iter().chain(launcher.events()).cloned().collect()
+}
+
+/// An armed expert snapshotted between any two events resumes into a
+/// fresh expert armed by the same correlator, and finishes the stream
+/// with the uninterrupted run's warnings and final snapshot bytes.
+#[test]
+fn an_armed_expert_resumes_from_its_snapshot() {
+    let mut correlator = Correlator::default();
+    correlator.ingest(download(1));
+    let armed = || {
+        let mut expert = Secpert::new(&PolicyConfig::default()).unwrap();
+        correlator.arm(&mut expert).expect("arming a fresh expert");
+        expert
+    };
+    let stream = exfil_then_launch();
+
+    let mut whole = armed();
+    let mut expected = Vec::new();
+    for event in &stream {
+        expected.extend(whole.process_event(event).unwrap());
+    }
+    assert_eq!(fired(&expected, "cross_session_read").len(), 1, "{expected:#?}");
+    let exec = fired(&expected, "cross_session_exec");
+    assert_eq!(exec.len(), 1, "{expected:#?}");
+    assert_eq!(exec[0].severity, Severity::High);
+    let final_bytes = whole.snapshot().unwrap();
+
+    for k in 0..=stream.len() {
+        let mut first = armed();
+        let mut warnings = Vec::new();
+        for event in &stream[..k] {
+            warnings.extend(first.process_event(event).unwrap());
+        }
+        let bytes = first.snapshot().unwrap();
+        let mut resumed = armed();
+        resumed.resume(&bytes).unwrap_or_else(|e| panic!("resume at event {k}: {e}"));
+        for event in &stream[k..] {
+            warnings.extend(resumed.process_event(event).unwrap());
+        }
+        assert_eq!(warnings, expected, "snapshot after {k} events");
+        assert_eq!(resumed.snapshot().unwrap(), final_bytes, "snapshot after {k} events");
+    }
 }
