@@ -487,13 +487,16 @@ impl Kernel {
         Ok(core)
     }
 
-    /// Forks `parent`: clones memory, registers and descriptors. The
-    /// child's `eax` is 0; the caller sets the parent's `eax` to the
-    /// returned child's pid.
-    pub fn fork(&mut self, parent: &Process) -> Process {
+    /// Forks `parent`: copies registers and descriptors, and gives the
+    /// child an address space that shares the parent's pages until
+    /// either side writes ([`hth_vm::Memory::fork`]). The parent is
+    /// taken `&mut` because a fork marks its pages shared, so its next
+    /// write into them copies them first. The child's `eax` is 0; the
+    /// caller sets the parent's `eax` to the returned child's pid.
+    pub fn fork(&mut self, parent: &mut Process) -> Process {
         let pid = self.next_pid();
         self.fork_ticks.push(self.now());
-        let mut core = parent.core.clone();
+        let mut core = parent.core.fork();
         core.cpu.set(Reg::Eax, 0);
         Process {
             pid,
@@ -1439,7 +1442,7 @@ mod tests {
         while parent.core.step(&mut NullHooks).unwrap() == StepEvent::Continue {}
         let rec = kernel.syscall(&mut parent);
         assert!(matches!(rec.effect, SyscallEffect::ForkRequested));
-        let child = kernel.fork(&parent);
+        let child = kernel.fork(&mut parent);
         parent.core.cpu.set(Reg::Eax, child.pid);
         assert_eq!(child.core.cpu.get(Reg::Eax), 0);
         assert_eq!(child.parent, parent.pid);
@@ -1480,7 +1483,7 @@ mod tests {
         assert_eq!(parent.core.mem.resident_pages(), 2);
         while parent.core.step(&mut NullHooks).unwrap() == StepEvent::Continue {}
         kernel.syscall(&mut parent);
-        let mut child = kernel.fork(&parent);
+        let mut child = kernel.fork(&mut parent);
         parent.core.cpu.set(Reg::Eax, child.pid);
         for proc in [&mut parent, &mut child] {
             while proc.core.step(&mut NullHooks).unwrap() == StepEvent::Continue {}

@@ -12,8 +12,9 @@
 //!   reporting each call's observable effect as a [`SyscallRecord`] for
 //!   the monitor,
 //! * [`Process`] construction with argv/environment placed on the
-//!   initial stack (which Harrier tags `USER_INPUT`), `fork` cloning and
-//!   `execve` image replacement, and
+//!   initial stack (which Harrier tags `USER_INPUT`), copy-on-write
+//!   `fork` (the child shares the parent's pages until either side
+//!   writes) and `execve` image replacement, and
 //! * a virtual clock driven by retired instructions and `nanosleep`.
 //!
 //! ```

@@ -53,7 +53,7 @@ struct OriginRecord {
 }
 
 /// Per-process monitor state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ProcMon {
     shadow: Shadow,
     freq: BbFreq,
@@ -162,14 +162,24 @@ impl Harrier {
         }
     }
 
-    /// Clones monitor state from parent to a forked child.
+    /// Starts monitoring a forked child with a copy of its parent's
+    /// state. The child's shadow shares the parent's shadow pages until
+    /// either side writes ([`Shadow::fork`]).
     ///
     /// # Panics
     ///
     /// Panics when the parent was never attached.
     pub fn fork_attach(&mut self, parent_pid: u32, child_pid: u32) {
-        let mon = self.procs.get(&parent_pid).expect("fork of unmonitored process").clone();
-        self.procs.insert(child_pid, mon);
+        let parent = self.procs.get_mut(&parent_pid).expect("fork of unmonitored process");
+        let child = ProcMon {
+            shadow: parent.shadow.fork(),
+            freq: parent.freq.clone(),
+            image_tags: parent.image_tags.clone(),
+            origins: parent.origins.clone(),
+            bound_ports: parent.bound_ports.clone(),
+            last_syscall_addr: parent.last_syscall_addr,
+        };
+        self.procs.insert(child_pid, child);
     }
 
     /// Re-attaches after a successful `execve` (new image, fresh shadow;
@@ -183,7 +193,7 @@ impl Harrier {
         }
     }
 
-    /// Stops monitoring an exited process.
+    /// Stops monitoring an exited process and frees its state.
     pub fn detach(&mut self, pid: u32) {
         self.procs.remove(&pid);
     }

@@ -13,6 +13,10 @@
 //! Because a [`TagRef`] is a `Copy` handle into the session's
 //! [`TagStore`], reads and writes never touch a refcount and range
 //! unions skip runs of identical refs with O(1) equality checks.
+//!
+//! A forked process's shadow ([`Shadow::fork`]) shares its parent's
+//! pages through the page table's copy-on-write directories: the first
+//! write into a shared 4 MiB directory copies that directory alone.
 
 use std::collections::BTreeSet;
 
@@ -52,7 +56,8 @@ fn dense(tag: TagRef) -> Box<[TagRef; PAGE as usize]> {
 /// All tags are handles into one [`TagStore`] (owned by the monitor and
 /// shared across processes), so the store is passed into the operations
 /// that combine tags. Unshadowed bytes read as untainted.
-#[derive(Clone, Debug, Default)]
+/// [`fork`](Shadow::fork) is the only way to copy a shadow.
+#[derive(Debug, Default)]
 pub struct Shadow {
     regs: [TagRef; 8],
     pages: PageTable<Page>,
@@ -62,6 +67,12 @@ impl Shadow {
     /// Fresh, fully-untainted shadow state.
     pub fn new() -> Shadow {
         Shadow::default()
+    }
+
+    /// The shadow of a forked child: the same register tags, and shadow
+    /// pages shared with this shadow until either side writes.
+    pub fn fork(&mut self) -> Shadow {
+        Shadow { regs: self.regs, pages: self.pages.fork() }
     }
 
     /// Tag of a register.

@@ -1,15 +1,20 @@
-//! Differential oracle: the compressed `Shadow` must be observationally
-//! identical to the per-byte `NaiveShadow` it replaced.
+//! Differential oracle: the compressed, copy-on-write `Shadow` must be
+//! observationally identical to the per-byte `NaiveShadow` it replaced.
 //!
 //! Proptest generates arbitrary interleavings of byte writes, range
-//! fills, clears, register writes and dataflow micro-ops; both
-//! implementations consume the same sequence, and after every operation
-//! the *resolved* tag sets (sorted `SourceId` slices) of all registers
-//! and the touched range must agree. A final sweep compares every byte
-//! of the exercised arena. The arena is placed at one of a few anchors
-//! chosen against the page table's layout: low memory, across a 4 MiB
-//! page-directory boundary, and at the top of the address space, where
-//! ranges wrap past `0xffff_ffff` to address 0.
+//! fills, clears, register writes, dataflow micro-ops and forks over
+//! three shadows: a parent, its child and the child's child, so one
+//! page directory can be shared three ways. A fork is `Shadow::fork` on
+//! one side and a `NaiveShadow` clone on the other. Both implementations
+//! consume the same sequence, and after every operation the *resolved*
+//! tag sets (sorted `SourceId` slices) of all registers and of the
+//! touched range must agree in every shadow, not only the one written,
+//! so a write that leaks through a shared directory shows. A final sweep
+//! compares every byte of the exercised arena in every shadow. The arena
+//! is placed at one of a few anchors chosen against the page table's
+//! layout: low memory, across a 4 MiB page-directory boundary, and at
+//! the top of the address space, where ranges wrap past `0xffff_ffff`
+//! to address 0.
 
 use proptest::prelude::*;
 
@@ -68,6 +73,11 @@ enum DiffOp {
         imm: bool,
         hw: bool,
     },
+    /// Shadow `from + 1` is replaced by a fork of shadow `from` (0 forks
+    /// the child, 1 the grandchild).
+    Fork {
+        from: usize,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -117,6 +127,7 @@ fn op_strategy() -> impl Strategy<Value = DiffOp> {
                 imm,
                 hw
             }),
+        (0usize..2).prop_map(|from| DiffOp::Fork { from }),
     ]
 }
 
@@ -127,8 +138,9 @@ struct Harness {
     srcs: Vec<SourceId>,
     binary: SourceId,
     hardware: SourceId,
-    naive: NaiveShadow,
-    fast: Shadow,
+    /// Parent, child and grandchild; each is empty until forked.
+    naive: [NaiveShadow; 3],
+    fast: [Shadow; 3],
     /// The modeled pipe's accumulated tag, one per implementation.
     pipe_naive: TagSet,
     pipe_fast: TagRef,
@@ -146,8 +158,8 @@ impl Harness {
             srcs,
             binary,
             hardware,
-            naive: NaiveShadow::new(),
-            fast: Shadow::new(),
+            naive: Default::default(),
+            fast: Default::default(),
             pipe_naive: TagSet::empty(),
             pipe_fast: TagRef::EMPTY,
         }
@@ -161,13 +173,18 @@ impl Harness {
         self.base.wrapping_add(off)
     }
 
-    fn step(&mut self, op: &DiffOp) {
+    /// Applies `op` to shadow `on` under both implementations.
+    fn step(&mut self, op: &DiffOp, on: usize) {
+        let base = self.base;
+        let addr = |off: u32| base.wrapping_add(off);
+        let naive = &mut self.naive[on];
+        let fast = &mut self.fast[on];
         match op {
             DiffOp::SetByte { off, src } => {
                 let id = self.srcs[*src];
-                self.naive.set_byte(self.addr(*off), TagSet::single(id));
+                naive.set_byte(addr(*off), TagSet::single(id));
                 let tag = self.store.single(id);
-                self.fast.set_byte(self.addr(*off), tag);
+                fast.set_byte(addr(*off), tag);
             }
             DiffOp::SetRange { off, len, src } => {
                 let (set, tag) = match src {
@@ -177,45 +194,47 @@ impl Harness {
                     }
                     None => (TagSet::empty(), TagRef::EMPTY),
                 };
-                self.naive.set_range(self.addr(*off), *len, &set);
-                self.fast.set_range(self.addr(*off), *len, tag);
+                naive.set_range(addr(*off), *len, &set);
+                fast.set_range(addr(*off), *len, tag);
             }
             DiffOp::SetRangeMulti { off, len, srcs } => {
                 let ids: Vec<SourceId> = srcs.iter().map(|s| self.srcs[*s]).collect();
-                self.naive.set_range(self.addr(*off), *len, &TagSet::from_ids(ids.iter().copied()));
+                naive.set_range(addr(*off), *len, &TagSet::from_ids(ids.iter().copied()));
                 let tag = self.store.from_ids(ids.iter().copied());
-                self.fast.set_range(self.addr(*off), *len, tag);
+                fast.set_range(addr(*off), *len, tag);
             }
             DiffOp::PipeWrite { off, len } => {
-                let written_naive = self.naive.range(self.addr(*off), *len);
+                let written_naive = naive.range(addr(*off), *len);
                 self.pipe_naive =
                     TagSet::from_ids(self.pipe_naive.iter().chain(written_naive.iter()));
-                let written_fast = self.fast.range(self.addr(*off), *len, &mut self.store);
+                let written_fast = fast.range(addr(*off), *len, &mut self.store);
                 self.pipe_fast = self.store.union(self.pipe_fast, written_fast);
             }
             DiffOp::PipeRead { off, len } => {
-                let set = self.pipe_naive.clone();
-                self.naive.set_range(self.addr(*off), *len, &set);
-                self.fast.set_range(self.addr(*off), *len, self.pipe_fast);
+                naive.set_range(addr(*off), *len, &self.pipe_naive);
+                fast.set_range(addr(*off), *len, self.pipe_fast);
             }
             DiffOp::SetReg { reg, srcs } => {
                 let ids: Vec<SourceId> = srcs.iter().map(|s| self.srcs[*s]).collect();
-                self.naive.set_reg(Reg::ALL[*reg], TagSet::from_ids(ids.iter().copied()));
+                naive.set_reg(Reg::ALL[*reg], TagSet::from_ids(ids.iter().copied()));
                 let tag = self.store.from_ids(ids.iter().copied());
-                self.fast.set_reg(Reg::ALL[*reg], tag);
+                fast.set_reg(Reg::ALL[*reg], tag);
             }
             DiffOp::Apply { dst, src1, src2, imm, hw } => {
-                let base = self.base;
                 let taint_op = TaintOp {
                     dst: dst.loc(base),
                     srcs: [src1.as_ref().map(|l| l.loc(base)), src2.as_ref().map(|l| l.loc(base))],
                     imm: *imm,
                     hardware: *hw,
                 };
-                self.naive.apply(&taint_op, self.binary, self.hardware);
+                naive.apply(&taint_op, self.binary, self.hardware);
                 let b = self.store.single(self.binary);
                 let h = self.store.single(self.hardware);
-                self.fast.apply(&taint_op, b, h, &mut self.store);
+                fast.apply(&taint_op, b, h, &mut self.store);
+            }
+            DiffOp::Fork { from } => {
+                self.naive[from + 1] = self.naive[*from].clone();
+                self.fast[from + 1] = self.fast[*from].fork();
             }
         }
     }
@@ -229,7 +248,7 @@ impl Harness {
             DiffOp::SetRangeMulti { off, len, .. } => Some((*off, *len)),
             DiffOp::PipeWrite { .. } => None,
             DiffOp::PipeRead { off, len } => Some((*off, *len)),
-            DiffOp::SetReg { .. } => None,
+            DiffOp::SetReg { .. } | DiffOp::Fork { .. } => None,
             DiffOp::Apply { dst, .. } => match dst {
                 LocSpec::Mem { off, len } => Some((*off, *len)),
                 LocSpec::Reg(_) => None,
@@ -241,47 +260,74 @@ impl Harness {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Lock-step equivalence of naive and compressed shadows.
+    /// Lock-step equivalence of naive and compressed shadows, across
+    /// copy-on-write forks.
     #[test]
     fn compressed_shadow_matches_naive_oracle(
         base in (0..ANCHORS.len()).prop_map(|i| ANCHORS[i]),
-        ops in prop::collection::vec(op_strategy(), 1..48),
+        ops in prop::collection::vec((op_strategy(), 0usize..3), 1..48),
     ) {
         let mut h = Harness::new(base);
-        for op in &ops {
-            h.step(op);
-            // Registers must agree after every single operation.
-            for reg in Reg::ALL {
-                let naive: Vec<SourceId> = h.naive.reg(reg).iter().collect();
-                let fast_ref = h.fast.reg(reg);
-                prop_assert_eq!(&naive, &h.resolve(fast_ref), "reg {:?} after {:?}", reg, op);
+        for (op, on) in &ops {
+            h.step(op, *on);
+            for side in 0..3 {
+                // Registers must agree after every single operation.
+                for reg in Reg::ALL {
+                    let naive: Vec<SourceId> = h.naive[side].reg(reg).iter().collect();
+                    let fast_ref = h.fast[side].reg(reg);
+                    prop_assert_eq!(
+                        &naive,
+                        &h.resolve(fast_ref),
+                        "reg {:?} of shadow {} after {:?} on {}",
+                        reg,
+                        side,
+                        op,
+                        on
+                    );
+                }
+                // The touched range must resolve identically, including
+                // a widened window to catch off-by-one page-boundary bugs.
+                if let Some((off, len)) = Harness::touched(op) {
+                    let lo = off.saturating_sub(2);
+                    let wide = (len + 4).min(ARENA - lo);
+                    let naive: Vec<SourceId> =
+                        h.naive[side].range(h.addr(lo), wide).iter().collect();
+                    let fast_ref = h.fast[side].range(h.addr(lo), wide, &mut h.store);
+                    prop_assert_eq!(
+                        &naive,
+                        &h.resolve(fast_ref),
+                        "range of shadow {} after {:?} on {}",
+                        side,
+                        op,
+                        on
+                    );
+                }
             }
             // The modeled pipe's accumulated tag must agree — the
             // laundering path keeps taint across fd plumbing.
             let pipe_naive: Vec<SourceId> = h.pipe_naive.iter().collect();
             let pipe_fast = h.pipe_fast;
             prop_assert_eq!(&pipe_naive, &h.resolve(pipe_fast), "pipe tag after {:?}", op);
-            // The touched range must resolve identically, including a
-            // widened window to catch off-by-one page-boundary bugs.
-            if let Some((off, len)) = Harness::touched(op) {
-                let lo = off.saturating_sub(2);
-                let wide = (len + 4).min(ARENA - lo);
-                let naive: Vec<SourceId> = h.naive.range(h.addr(lo), wide).iter().collect();
-                let fast_ref = h.fast.range(h.addr(lo), wide, &mut h.store);
-                prop_assert_eq!(&naive, &h.resolve(fast_ref), "range after {:?}", op);
+        }
+        for side in 0..3 {
+            // Final sweep: every byte of the arena agrees.
+            for off in 0..ARENA {
+                let addr = h.addr(off);
+                let naive: Vec<SourceId> = h.naive[side].byte(addr).iter().collect();
+                let fast_ref = h.fast[side].byte(addr);
+                prop_assert_eq!(
+                    &naive,
+                    &h.resolve(fast_ref),
+                    "byte {:#x} of shadow {} diverged",
+                    addr,
+                    side
+                );
             }
+            // And the whole-arena union agrees (exercises the
+            // page-skipping fast path against the per-byte fold).
+            let naive: Vec<SourceId> = h.naive[side].range(base, ARENA).iter().collect();
+            let fast_ref = h.fast[side].range(base, ARENA, &mut h.store);
+            prop_assert_eq!(&naive, &h.resolve(fast_ref), "whole-arena union of shadow {}", side);
         }
-        // Final sweep: every byte of the arena agrees.
-        for off in 0..ARENA {
-            let addr = h.addr(off);
-            let naive: Vec<SourceId> = h.naive.byte(addr).iter().collect();
-            let fast_ref = h.fast.byte(addr);
-            prop_assert_eq!(&naive, &h.resolve(fast_ref), "byte {addr:#x} diverged");
-        }
-        // And the whole-arena union agrees (exercises the page-skipping
-        // fast path against the per-byte fold).
-        let naive: Vec<SourceId> = h.naive.range(base, ARENA).iter().collect();
-        let fast_ref = h.fast.range(base, ARENA, &mut h.store);
-        prop_assert_eq!(&naive, &h.resolve(fast_ref), "whole-arena union diverged");
     }
 }

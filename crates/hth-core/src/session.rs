@@ -235,10 +235,12 @@ impl Session {
             if !progressed {
                 break;
             }
-            // Drop exited processes (children stay until observed here).
+            // Drop exited processes (children stay until observed here),
+            // and their monitor state with them.
             self.procs.retain(|p| {
                 if let ProcState::Exited(code) = p.state {
                     report.exited.push((p.pid, code));
+                    self.harrier.detach(p.pid);
                     false
                 } else {
                     true
@@ -280,7 +282,6 @@ impl Session {
                 Ok(StepEvent::Continue) => {}
                 Ok(StepEvent::Halted) => {
                     self.procs[idx].state = ProcState::Exited(0);
-                    self.harrier.detach(pid);
                     return Ok(());
                 }
                 Ok(StepEvent::Interrupt(0x80)) => self.handle_syscall(idx)?,
@@ -291,7 +292,6 @@ impl Session {
                 Err(e) => {
                     report.faults.push((pid, e.to_string()));
                     self.procs[idx].state = ProcState::Exited(-1);
-                    self.harrier.detach(pid);
                     return Ok(());
                 }
             }
@@ -304,7 +304,7 @@ impl Session {
         match &record.effect {
             SyscallEffect::ForkRequested => {
                 if self.procs.len() < self.config.max_processes {
-                    let child = self.kernel.fork(&self.procs[idx]);
+                    let child = self.kernel.fork(&mut self.procs[idx]);
                     let (ppid, cpid) = (self.procs[idx].pid, child.pid);
                     self.procs[idx].core.cpu.set(Reg::Eax, cpid);
                     self.harrier.fork_attach(ppid, cpid);
@@ -356,9 +356,7 @@ impl Session {
         if victim.sig_handlers.contains_key(&sig) {
             victim.delivered_signals.push(sig);
         } else {
-            let pid = victim.pid;
             victim.state = ProcState::Exited(128 + sig as i32);
-            self.harrier.detach(pid);
         }
     }
 

@@ -224,8 +224,10 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder retaining the last `capacity` entries (min 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
+    /// A recorder retaining the last `capacity` entries (min 1). Owners
+    /// build [`FlightRecorder::default`]; the module's tests use small
+    /// rings.
+    fn new(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
@@ -275,11 +277,6 @@ impl FlightRecorder {
     /// Total entries ever recorded (the seq of the newest entry).
     pub fn recorded(&self) -> u64 {
         self.lock().seq
-    }
-
-    /// The retained tail, oldest first.
-    pub fn tail(&self) -> Vec<FlightEntry> {
-        self.lock().ring.iter().copied().collect()
     }
 
     /// Snapshots the ring and stats into a [`DiagnosticBundle`]. The
@@ -570,19 +567,18 @@ mod tests {
             recorder.record(1, i, "event", "SYS_open", &format!("/tmp/{i}"));
         }
         assert_eq!(recorder.recorded(), 10);
-        let tail = recorder.tail();
-        assert_eq!(tail.len(), 4);
-        assert_eq!(tail.first().unwrap().seq, 7);
-        assert_eq!(tail.last().unwrap().seq, 10);
-        assert_eq!(tail.last().unwrap().detail.as_str(), "/tmp/9");
         let bundle = recorder.capture(
             "test",
             Trigger::ProtocolDrop { error: "torn frame".into() },
             MetricsSnapshot::new(),
             Vec::new(),
         );
+        let tail = &bundle.events;
+        assert_eq!(tail.len(), 4);
+        assert_eq!(tail.first().unwrap().seq, 7);
+        assert_eq!(tail.last().unwrap().seq, 10);
+        assert_eq!(tail.last().unwrap().detail.as_str(), "/tmp/9");
         assert_eq!(bundle.events_overwritten, 6);
-        assert_eq!(bundle.events.len(), 4);
     }
 
     #[test]

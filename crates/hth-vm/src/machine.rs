@@ -196,7 +196,7 @@ pub enum StepEvent {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Core {
     /// Architectural state.
     pub cpu: Cpu,
@@ -226,6 +226,21 @@ impl Core {
             cpuid_values: [0x0000_0001, 0x4854_4856, 0x4d56_5f48, 0x2056_3130],
             instret: 0,
             last_image: 0,
+        }
+    }
+
+    /// The core of a forked child: the same registers, images and
+    /// symbols, and an address space that shares its pages with this
+    /// one until either side writes ([`Memory::fork`]).
+    pub fn fork(&mut self) -> Core {
+        Core {
+            cpu: self.cpu.clone(),
+            mem: self.mem.fork(),
+            images: self.images.clone(),
+            symbol_at: self.symbol_at.clone(),
+            cpuid_values: self.cpuid_values,
+            instret: self.instret,
+            last_image: self.last_image,
         }
     }
 

@@ -52,8 +52,11 @@ fn offset(addr: u32) -> usize {
 /// Pages must be [mapped](Memory::map) before access — unmapped accesses
 /// fault, which the interpreter reports as a crash of the monitored
 /// program (faithful to running a real binary under Pin). A mapped page
-/// reads as zeros and gets storage on its first write, so a clone (a
-/// fork) copies only the pages written so far.
+/// reads as zeros and gets storage on its first write.
+/// [`fork`](Memory::fork) is the only way to copy an address space: the
+/// two sides share their pages, 4 MiB directory by directory, until one
+/// of them writes into a directory, and that write copies that directory
+/// alone. A process that exits frees only what it copied.
 ///
 /// ```
 /// use hth_vm::Memory;
@@ -62,8 +65,11 @@ fn offset(addr: u32) -> usize {
 /// m.write_u32(0x1ffc, 0xdead_beef).unwrap();
 /// assert_eq!(m.read_u32(0x1ffc).unwrap(), 0xdead_beef);
 /// assert!(m.read_u8(0x3000).is_err());
+/// let mut child = m.fork();
+/// child.write_u32(0x1ffc, 7).unwrap();
+/// assert_eq!(m.read_u32(0x1ffc).unwrap(), 0xdead_beef);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Memory {
     pages: PageTable<Frame>,
 }
@@ -72,6 +78,12 @@ impl Memory {
     /// Creates an empty address space.
     pub fn new() -> Memory {
         Memory::default()
+    }
+
+    /// The address space of a forked child: a copy of this one whose
+    /// pages stay shared with it until either side writes.
+    pub fn fork(&mut self) -> Memory {
+        Memory { pages: self.pages.fork() }
     }
 
     /// Maps `[start, end)` (rounded out to page boundaries) as accessible,

@@ -1,14 +1,18 @@
-//! Differential oracle: the lazily zero-filled, page-table-backed
-//! `Memory` must behave exactly like the eager model it replaced.
+//! Differential oracle: the lazily zero-filled, page-table-backed,
+//! copy-on-write `Memory` must behave exactly like the eager model it
+//! replaced.
 //!
 //! `Eager` below is that model: every mapped page is allocated and zeroed
-//! up front in a hash map, and every multi-byte access is a byte loop.
-//! Proptest drives both through the same random interleaving of maps,
-//! byte and word accesses, buffer copies, C-string reads and forks
-//! (a clone after which parent and child diverge). After every operation
-//! both must return the same values and the same `MemFault` addresses,
-//! leave the same bytes behind a partly faulting write, and agree on
-//! which pages are mapped.
+//! up front in a hash map, every multi-byte access is a byte loop, and a
+//! fork is a deep copy. Proptest drives both through the same random
+//! interleaving of maps, byte and word accesses, buffer copies, C-string
+//! reads and forks across three address spaces: a parent, its child and
+//! the child's child, so one directory can be shared three ways. After
+//! every operation both must return the same values and the same
+//! `MemFault` addresses, and every address space, not only the one
+//! written, must read the same bytes around the touched address (so a
+//! write that leaks through a shared directory shows) and agree on which
+//! pages are mapped.
 
 use std::collections::HashMap;
 
@@ -16,7 +20,8 @@ use proptest::prelude::*;
 
 use hth_vm::{MemFault, Memory, PAGE_SIZE};
 
-/// The pre-page-table memory: eager zeroed pages, byte-wise access.
+/// The pre-page-table memory: eager zeroed pages, byte-wise access, a
+/// deep copy per fork.
 #[derive(Clone, Default)]
 struct Eager {
     pages: HashMap<u32, Box<[u8; PAGE_SIZE as usize]>>,
@@ -123,8 +128,11 @@ enum Op {
         addr: u32,
         max: u32,
     },
-    /// The child becomes a copy of the parent.
-    Fork,
+    /// Address space `from + 1` is replaced by a fork of address space
+    /// `from` (0 forks the child, 1 the grandchild).
+    Fork {
+        from: usize,
+    },
 }
 
 /// An address near an anchor; page edges and the last bytes before a
@@ -148,18 +156,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (addr_strategy(), prop::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(addr, bytes)| Op::WriteBytes { addr, bytes }),
         (addr_strategy(), 0u32..64).prop_map(|(addr, max)| Op::ReadCstr { addr, max }),
-        Just(Op::Fork),
+        (0usize..2).prop_map(|from| Op::Fork { from }),
     ]
 }
 
 /// One process's address space under both implementations.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Pair {
     lazy: Memory,
     eager: Eager,
 }
 
 impl Pair {
+    /// A forked child: copy-on-write on one side, a deep copy on the other.
+    fn fork(&mut self) -> Pair {
+        Pair { lazy: self.lazy.fork(), eager: self.eager.clone() }
+    }
+
     /// Applies `op` to both sides and checks they return the same thing.
     fn apply(&mut self, op: &Op) {
         match op {
@@ -194,7 +207,7 @@ impl Pair {
                 let lazy = self.lazy.read_cstr(*addr, *max);
                 assert_eq!(lazy, self.eager.read_cstr(*addr, *max), "{op:?}");
             }
-            Op::Fork => unreachable!("forks act on two address spaces"),
+            Op::Fork { .. } => unreachable!("forks act on two address spaces"),
         }
     }
 
@@ -239,7 +252,7 @@ impl Pair {
 /// The span of addresses an operation can touch.
 fn touched(op: &Op) -> Option<(u32, u32)> {
     match op {
-        Op::Map { .. } | Op::Fork => None,
+        Op::Map { .. } | Op::Fork { .. } => None,
         Op::ReadU8 { addr } | Op::WriteU8 { addr, .. } => Some((*addr, 1)),
         Op::ReadU32 { addr } | Op::WriteU32 { addr, .. } => Some((*addr, 4)),
         Op::ReadBytes { addr, len } | Op::ReadCstr { addr, max: len } => Some((*addr, *len)),
@@ -251,25 +264,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Lock-step equivalence of the lazy and eager address spaces,
-    /// across forks.
+    /// across copy-on-write forks.
     #[test]
     fn lazy_memory_matches_eager_model(
-        ops in prop::collection::vec((op_strategy(), any::<bool>()), 1..64),
+        ops in prop::collection::vec((op_strategy(), 0usize..3), 1..64),
     ) {
-        // [parent, child]; the child is empty until the first fork.
-        let mut procs = [Pair::default(), Pair::default()];
-        for (op, on_child) in &ops {
-            if let Op::Fork = op {
-                procs[1] = procs[0].clone();
+        // [parent, child, grandchild]; each is empty until forked.
+        let mut procs = [Pair::default(), Pair::default(), Pair::default()];
+        for (op, on) in &ops {
+            if let Op::Fork { from } = op {
+                procs[from + 1] = procs[*from].fork();
             } else {
-                let side = &mut procs[usize::from(*on_child)];
-                side.apply(op);
-                if let Some((addr, len)) = touched(op) {
-                    side.check_around(addr, len, &format!("{op:?}"));
-                }
+                procs[*on].apply(op);
             }
             for side in &procs {
-                side.check_mapped(&format!("{op:?}"));
+                if let Some((addr, len)) = touched(op) {
+                    side.check_around(addr, len, &format!("{op:?} on {on}"));
+                }
+                side.check_mapped(&format!("{op:?} on {on}"));
             }
         }
         for side in &procs {
